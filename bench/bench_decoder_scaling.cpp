@@ -22,6 +22,7 @@
 #include "runtime/kv_cache.hpp"
 #include "runtime/prefix_cache.hpp"
 #include "runtime/telemetry.hpp"
+#include "runtime/traffic.hpp"
 #include "runtime/workspace_arena.hpp"
 #include "util/rng.hpp"
 #include "util/stopwatch.hpp"
@@ -45,6 +46,55 @@ uint32_t argmax_token(const protea::tensor::MatrixF& head,
     }
   }
   return best;
+}
+
+/// One short-mix request: a 2-row random prompt, 2 new tokens, fed back
+/// as a scaled copy of the newest state (4 cached rows in all).
+protea::runtime::GenerationRequest short_request(
+    uint32_t d, const protea::tensor::MatrixF& memory,
+    protea::util::Xoshiro256& rng) {
+  protea::runtime::GenerationRequest req;
+  req.prefix = protea::tensor::MatrixF(2, d);
+  for (float& x : req.prefix.flat()) x = static_cast<float>(rng.normal());
+  req.memory = &memory;
+  req.max_new_tokens = 2;
+  req.next_token = [d](std::span<const float> state,
+                       protea::tensor::MatrixF& next) {
+    if (next.rows() != 1 || next.cols() != d) {
+      next = protea::tensor::MatrixF(1, d);
+    }
+    for (size_t c = 0; c < d; ++c) next(0, c) = 0.5f * state[c];
+    return true;
+  };
+  return req;
+}
+
+/// Every request served alone by generate_solo (the engine-independent
+/// reference) on the engine's model, with `options`' cache layout.
+std::vector<protea::runtime::GenerationResult> solo_reference(
+    const protea::runtime::TrafficEngine& engine,
+    const std::vector<protea::runtime::TrafficRequest>& requests,
+    const protea::runtime::GenerationOptions& options) {
+  std::vector<protea::runtime::GenerationResult> out;
+  out.reserve(requests.size());
+  for (const auto& r : requests) {
+    out.push_back(protea::runtime::generate_solo(
+        engine.config(), engine.model(), r.gen, options));
+  }
+  return out;
+}
+
+/// Every engine request completed with the reference's exact states.
+bool same_outputs(const std::vector<protea::runtime::TrafficResult>& got,
+                  const std::vector<protea::runtime::GenerationResult>& want) {
+  if (got.size() != want.size()) return false;
+  for (size_t i = 0; i < got.size(); ++i) {
+    if (got[i].outcome != protea::runtime::TrafficOutcome::kCompleted ||
+        got[i].states != want[i].states) {
+      return false;
+    }
+  }
+  return true;
 }
 
 }  // namespace
@@ -284,10 +334,13 @@ int main(int argc, char** argv) {
     std::printf("%s\n", kv.to_string().c_str());
   }
 
-  // Executed: a short-sequence mix served dense (4 full-capacity slots)
-  // and paged (one shared pool of the SAME self-KV byte budget). The
-  // scheduler's peak concurrency is the record; outputs must stay bit
-  // identical between the two layouts.
+  // Executed: a short-sequence mix served paged on the serving engine
+  // from one shared pool of the self-KV byte budget that holds 4 dense
+  // full-capacity slots. A dense slot reserves seq_len rows whatever the
+  // sequence length, so that budget holds exactly 4 dense sequences at
+  // once — computed, not executed. The engine's executed peak
+  // concurrency is the paged record; every paged output must stay bit
+  // identical to the dense solo reference.
   {
     ref::ModelConfig small;
     small.name = "decoder-paged";
@@ -303,68 +356,47 @@ int main(int argc, char** argv) {
     for (float& x : memory.flat()) x = static_cast<float>(rng.normal());
     for (float& x : calib.flat()) x = static_cast<float>(rng.normal());
 
-    runtime::GenerationScheduler scheduler(
+    runtime::TrafficEngine engine(
         accel::AccelConfig{}, accel::prepare_decoder(weights, calib, memory));
-    std::vector<runtime::GenerationRequest> requests;
-    for (size_t i = 0; i < 48; ++i) {  // short mix: 4 rows per sequence
-      runtime::GenerationRequest req;
-      req.prefix = tensor::MatrixF(2, small.d_model);
-      for (float& x : req.prefix.flat()) {
-        x = static_cast<float>(rng.normal());
-      }
-      req.memory = &memory;
-      req.max_new_tokens = 2;
-      const uint32_t d = small.d_model;
-      req.next_token = [d](std::span<const float> state,
-                           tensor::MatrixF& next) {
-        if (next.rows() != 1 || next.cols() != d) {
-          next = tensor::MatrixF(1, d);
-        }
-        for (size_t c = 0; c < d; ++c) next(0, c) = 0.5f * state[c];
-        return true;
-      };
-      requests.push_back(std::move(req));
+    std::vector<runtime::TrafficRequest> requests(48);
+    for (auto& req : requests) {  // short mix: 4 rows per sequence
+      req.gen = short_request(small.d_model, memory, rng);
     }
+    const std::vector<runtime::GenerationResult> dense_results =
+        solo_reference(engine, requests, {.kv_block_rows = 0});
 
-    runtime::GenerationSchedulerOptions dense;
-    dense.slots = 4;
-    dense.kv_block_rows = 0;  // full-capacity reservation per slot
-    const auto dense_results = scheduler.run(requests, dense);
-    const auto dense_stats = scheduler.last_run();
+    constexpr uint32_t kDenseSlots = 4;
     const uint64_t dense_bytes =
         accel::estimate_kv_footprint(small, small.seq_len, 4).dense_bytes *
-        dense.slots;
+        kDenseSlots;
 
-    runtime::GenerationSchedulerOptions paged;
+    runtime::TrafficOptions paged;
     paged.kv_block_rows = 4;
     // Equal self-KV budget: (4 slots x 32 rows) / 4-row blocks.
-    paged.kv_pool_blocks = dense.slots * small.seq_len / paged.kv_block_rows;
+    paged.kv_pool_blocks = kDenseSlots * small.seq_len / paged.kv_block_rows;
     paged.slots = paged.kv_pool_blocks;  // let the pool be the limiter
     paged.telemetry = &telemetry;  // inert unless --trace configured it
-    const auto paged_results = scheduler.run(requests, paged);
-    const auto paged_stats = scheduler.last_run();
+    const auto paged_results = engine.run(requests, paged);
+    const auto paged_stats = engine.last_run();
     const uint64_t paged_bytes =
         uint64_t{paged.kv_pool_blocks} * paged.kv_block_rows *
         accel::estimate_kv_footprint(small, 1, 1).row_bytes;
 
-    bool paged_identical = paged_results.size() == dense_results.size();
-    for (size_t i = 0; paged_identical && i < paged_results.size(); ++i) {
-      paged_identical = paged_results[i].states == dense_results[i].states;
-    }
+    const bool paged_identical = same_outputs(paged_results, dense_results);
     identical = identical && paged_identical;
     const double ratio = static_cast<double>(paged_stats.max_active) /
-                         static_cast<double>(dense_stats.max_active);
+                         static_cast<double>(kDenseSlots);
     std::printf(
         "executed short-sequence mix (48 x 4 rows, capacity %u): dense %u "
         "concurrent @ %llu KiB, paged %u concurrent @ %llu KiB (%.1fx), "
         "outputs %s\n\n",
-        small.seq_len, dense_stats.max_active,
+        small.seq_len, kDenseSlots,
         static_cast<unsigned long long>(dense_bytes / 1024),
         paged_stats.max_active,
         static_cast<unsigned long long>(paged_bytes / 1024), ratio,
         paged_identical ? "IDENTICAL" : "DIVERGED");
     records.push_back({"paged_concurrency", "dense_max_concurrent",
-                       static_cast<double>(dense_stats.max_active), "seqs"});
+                       static_cast<double>(kDenseSlots), "seqs"});
     records.push_back({"paged_concurrency", "paged_max_concurrent",
                        static_cast<double>(paged_stats.max_active), "seqs"});
     records.push_back({"paged_concurrency", "concurrency_ratio", ratio,
@@ -378,7 +410,7 @@ int main(int argc, char** argv) {
                        paged_identical ? 1.0 : 0.0, "bool"});
     // Telemetry from the paged run: full lifecycle recorded, histogram
     // percentiles folded into the same record file, Chrome trace to
-    // --trace. The stepped loop stamps events with its scheduler step.
+    // --trace. The engine stamps events with its virtual round.
     if (telemetry.enabled()) {
       using TE = runtime::TraceEventType;
       identical = identical &&
@@ -419,27 +451,11 @@ int main(int argc, char** argv) {
     for (float& x : memory.flat()) x = static_cast<float>(rng.normal());
     for (float& x : calib.flat()) x = static_cast<float>(rng.normal());
 
-    runtime::GenerationScheduler scheduler(
+    runtime::TrafficEngine engine(
         accel::AccelConfig{}, accel::prepare_decoder(weights, calib, memory));
-    std::vector<runtime::GenerationRequest> requests;
-    for (size_t i = 0; i < 96; ++i) {  // short mix: 4 rows per sequence
-      runtime::GenerationRequest req;
-      req.prefix = tensor::MatrixF(2, small.d_model);
-      for (float& x : req.prefix.flat()) {
-        x = static_cast<float>(rng.normal());
-      }
-      req.memory = &memory;
-      req.max_new_tokens = 2;
-      const uint32_t d = small.d_model;
-      req.next_token = [d](std::span<const float> state,
-                           tensor::MatrixF& next) {
-        if (next.rows() != 1 || next.cols() != d) {
-          next = tensor::MatrixF(1, d);
-        }
-        for (size_t c = 0; c < d; ++c) next(0, c) = 0.5f * state[c];
-        return true;
-      };
-      requests.push_back(std::move(req));
+    std::vector<runtime::TrafficRequest> requests(96);
+    for (auto& req : requests) {  // short mix: 4 rows per sequence
+      req.gen = short_request(small.d_model, memory, rng);
     }
 
     // Stored row widths straight from the (storage-aware) footprint
@@ -455,46 +471,44 @@ int main(int argc, char** argv) {
             .row_bytes;
     const bool widths_ok = row_fp8 == row_int8 && row_fp4 == row_int8 / 2;
 
-    // fp8 reproducibility: dense vs paged, and paged run-to-run.
-    runtime::GenerationSchedulerOptions fp8_dense;
-    fp8_dense.slots = 4;
-    fp8_dense.kv_block_rows = 0;
-    fp8_dense.kv_storage = numeric::KvStorage::kFp8E4M3;
-    const auto fp8_dense_results = scheduler.run(requests, fp8_dense);
-    runtime::GenerationSchedulerOptions fp8_paged;
+    // fp8 reproducibility: dense solo reference vs paged engine runs, and
+    // paged run-to-run.
+    const auto fp8_dense_results = solo_reference(
+        engine, requests,
+        {.kv_block_rows = 0, .kv_storage = numeric::KvStorage::kFp8E4M3});
+    runtime::TrafficOptions fp8_paged;
     fp8_paged.kv_block_rows = 4;
     fp8_paged.kv_pool_blocks = 32;
     fp8_paged.slots = 32;
     fp8_paged.kv_storage = numeric::KvStorage::kFp8E4M3;
-    const auto fp8_paged_a = scheduler.run(requests, fp8_paged);
-    const auto fp8_paged_b = scheduler.run(requests, fp8_paged);
-    bool fp8_identical = fp8_paged_a.size() == fp8_dense_results.size();
-    for (size_t i = 0; fp8_identical && i < fp8_paged_a.size(); ++i) {
-      fp8_identical = fp8_paged_a[i].states == fp8_dense_results[i].states &&
-                      fp8_paged_a[i].states == fp8_paged_b[i].states;
-    }
+    const auto fp8_paged_a = engine.run(requests, fp8_paged);
+    const auto fp8_paged_b = engine.run(requests, fp8_paged);
+    const bool fp8_identical =
+        same_outputs(fp8_paged_a, fp8_dense_results) &&
+        same_outputs(fp8_paged_b, fp8_dense_results);
 
     // Fixed pool byte budget (the int8 paged run's 4-slot capacity
     // budget): int8 carves 32 blocks, fp4's half-width rows carve 64 —
     // executed concurrency must at least double.
     const uint64_t budget_bytes = uint64_t{32} * 4 * row_int8;
-    runtime::GenerationSchedulerOptions int8_run;
+    runtime::TrafficOptions int8_run;
     int8_run.kv_block_rows = 4;
     int8_run.kv_pool_blocks =
         budget_bytes / (4 * row_int8);  // 32 blocks
     int8_run.slots = 96;                // pool is the limiter
-    const auto int8_results = scheduler.run(requests, int8_run);
-    const auto int8_stats = scheduler.last_run();
+    engine.run(requests, int8_run);
+    const auto int8_stats = engine.last_run();
 
-    runtime::GenerationSchedulerOptions fp4_run = int8_run;
+    runtime::TrafficOptions fp4_run = int8_run;
     fp4_run.kv_storage = numeric::KvStorage::kFp4E2M1;
     fp4_run.kv_pool_blocks = budget_bytes / (4 * row_fp4);  // 64 blocks
-    const auto fp4_a = scheduler.run(requests, fp4_run);
-    const auto fp4_stats = scheduler.last_run();
-    const auto fp4_b = scheduler.run(requests, fp4_run);
+    const auto fp4_a = engine.run(requests, fp4_run);
+    const auto fp4_stats = engine.last_run();
+    const auto fp4_b = engine.run(requests, fp4_run);
     bool fp4_deterministic = fp4_a.size() == fp4_b.size();
     for (size_t i = 0; fp4_deterministic && i < fp4_a.size(); ++i) {
-      fp4_deterministic = fp4_a[i].states == fp4_b[i].states;
+      fp4_deterministic = fp4_a[i].outcome == fp4_b[i].outcome &&
+                          fp4_a[i].states == fp4_b[i].states;
     }
     const double conc_ratio = static_cast<double>(fp4_stats.max_active) /
                               static_cast<double>(int8_stats.max_active);

@@ -118,7 +118,9 @@ void BM_QGemmThreaded(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(n * n * n));
 }
-BENCHMARK(BM_QGemmThreaded)->Args({512, 2})->Args({512, 4});
+// Wall-clock rate: the pool's workers do the MACs, so main-thread CPU
+// time (the default divisor) would overstate throughput.
+BENCHMARK(BM_QGemmThreaded)->Args({512, 2})->Args({512, 4})->UseRealTime();
 
 void BM_SoftmaxRows(benchmark::State& state) {
   auto m = random_matrix(64, 64, 5);

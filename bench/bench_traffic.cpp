@@ -254,15 +254,18 @@ int main(int argc, char** argv) {
   gate.require(!beam_items.empty(), "trace contains a beam request");
 
   // --- solo references (unconstrained bits, one request at a time) ----------
-  runtime::GenerationScheduler ref_sched(hx.acfg, hx.qd);
-  auto ref_built = build_requests(hx, engine_items);
-  std::vector<runtime::GenerationRequest> ref_gens;
-  ref_gens.reserve(ref_built.reqs.size());
-  for (auto& r : ref_built.reqs) ref_gens.push_back(r.gen);
-  runtime::GenerationSchedulerOptions ref_opts;
-  ref_opts.slots = 1;  // strictly sequential, private dense caches
-  ref_opts.kv_block_rows = 0;
-  const auto reference = ref_sched.run(ref_gens, ref_opts);
+  // generate_solo shares no code with the engine under test.
+  const auto solo_all = [&hx](const std::vector<runtime::TrafficRequest>& reqs) {
+    std::vector<runtime::GenerationResult> out;
+    out.reserve(reqs.size());
+    for (const auto& r : reqs) {
+      out.push_back(runtime::generate_solo(
+          hx.acfg, hx.qd, r.gen,
+          runtime::GenerationOptions{.kv_block_rows = 0}));
+    }
+    return out;
+  };
+  const auto reference = solo_all(build_requests(hx, engine_items).reqs);
 
   // --- overload scenario (stepped, then threaded) ----------------------------
   runtime::TrafficOptions overload;
@@ -512,14 +515,8 @@ int main(int argc, char** argv) {
     pcfg.seed = 20260808;
     const auto pitems = runtime::generate_trace(pcfg);
 
-    auto pref_built = build_requests(hx, pitems, pcfg.shared_prefix_rows);
-    std::vector<runtime::GenerationRequest> pref_gens;
-    pref_gens.reserve(pref_built.reqs.size());
-    for (auto& r : pref_built.reqs) pref_gens.push_back(r.gen);
-    runtime::GenerationSchedulerOptions pref_opts;
-    pref_opts.slots = 1;
-    pref_opts.kv_block_rows = 0;
-    const auto pref = ref_sched.run(pref_gens, pref_opts);
+    const auto pref =
+        solo_all(build_requests(hx, pitems, pcfg.shared_prefix_rows).reqs);
 
     runtime::TrafficOptions popts;
     popts.slots = 5;

@@ -515,10 +515,10 @@ std::vector<BeamHypothesis> BeamSearchDecoder::generate(
   for (auto& s : next_sessions_) macs_before += s->stats().macs;
 
   // --- admission: reserve the group's COW-aware worst case -----------------
-  // All or nothing, like the generation scheduler's reserve-at-admission:
-  // a beam group either gets its worst-case headroom (and then never
-  // waits mid-decode — COW copies included) or parks here holding
-  // nothing, so shared-pool backpressure cannot deadlock.
+  // All or nothing, reserved at admission: a beam group either gets its
+  // worst-case headroom (and then never waits mid-decode — COW copies
+  // included) or parks here holding nothing, so shared-pool backpressure
+  // cannot deadlock.
   const size_t worst = beam_worst_case_blocks(
       prompt_tokens.size(), options_.max_new_tokens, k,
       options_.kv_block_rows, options_.cow);

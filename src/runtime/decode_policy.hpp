@@ -24,8 +24,8 @@
 //     the first divergent append per block paying the one copy.
 //     Admission reserves the group's COW-aware worst-case block count
 //     as a KvPoolCredit, so beam groups apply backpressure against a
-//     shared pool without ever waiting mid-decode (deadlock-free, same
-//     reserve-at-admission discipline as the generation scheduler).
+//     shared pool without ever waiting mid-decode (deadlock-free: a
+//     group waits only at admission, holding nothing).
 //     After admission the stepped (threads = 1) decode loop performs
 //     zero heap allocations; threads > 1 steps live beams on a worker
 //     pool, bit-identical to stepped because selection is a

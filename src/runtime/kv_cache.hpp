@@ -91,9 +91,9 @@ struct KvPoolCredit {
 /// Fixed-size block allocator for paged self K/V. All blocks are carved
 /// from one private WorkspaceArena at configure() and recycled through a
 /// free list; allocation is all-or-nothing (a partially-reserved sequence
-/// would deadlock against another one). Thread-safe: scheduler workers
-/// share one pool, and reserve_wait() parks a worker until a finishing
-/// sequence releases blocks.
+/// would deadlock against another one). Thread-safe: sessions on
+/// different threads share one pool, and reserve_credit_wait() parks a
+/// fork group until a finishing sequence releases enough headroom.
 ///
 /// Blocks are REFCOUNTED for copy-on-write forking: fork_ref() lets a
 /// second cache adopt a block (refcount bump — no K/V bytes move) and
@@ -151,10 +151,6 @@ class KvBlockPool {
   /// is about to overwrite every byte (swap-in restore).
   bool try_reserve(size_t n, std::vector<uint32_t>& out,
                    KvPoolCredit* credit = nullptr, bool skip_zero = false);
-  /// Blocking form: parks the caller until `n` blocks are free at once.
-  /// `n` must not exceed num_blocks() (it could never be satisfied).
-  void reserve_wait(size_t n, std::vector<uint32_t>& out,
-                    KvPoolCredit* credit = nullptr);
   /// Drops one reference per listed block; a block whose last reference
   /// goes returns to the free list (marked for lazy re-zeroing) and wakes
   /// blocked reservers.
@@ -237,10 +233,8 @@ class KvBlockPool {
   /// counted per pool operation (one try_reserve / one COW copy), not
   /// per block.
   void inject_failures(uint64_t skip, uint64_t count);
-  /// Forces every uncredited take to fail until cleared. Meant for the
-  /// try_* paths; reserve_wait() throws KvBlockExhausted while this is
-  /// armed (a blocking reserve would otherwise spin on its own
-  /// failpoint forever).
+  /// Forces every uncredited take to fail until cleared (the try_*
+  /// paths; credit headroom is never failpointed).
   void force_exhaustion(bool on);
   void clear_failures();
   /// Injected failures actually hit so far.
@@ -466,10 +460,6 @@ class KvCache {
   bool try_reserve_rows(size_t rows);
   /// try_reserve_rows or throw KvBlockExhausted.
   void reserve_rows(size_t rows);
-  /// Blocking form for threaded schedulers: parks until the pool can
-  /// satisfy the growth. The caller must not hold rows another waiter
-  /// needs (reserve-at-admission keeps this deadlock-free).
-  void reserve_rows_wait(size_t rows);
   /// Returns every held block to the pool (the cached rows die). The
   /// scheduler calls this when a sequence retires so waiting admissions
   /// can proceed; begin_sequence() keeps blocks for reuse instead.

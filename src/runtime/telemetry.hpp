@@ -9,8 +9,7 @@
 //     prefix-adopt/publish/evict, deadline-miss, complete, pool
 //     occupancy, failpoint trips), each stamped with BOTH the engine's
 //     virtual-time round and a wall-clock nanosecond annotation. Hooks
-//     in TrafficEngine, GenerationScheduler, KvBlockPool and
-//     PrefixCache feed it.
+//     in TrafficEngine, KvBlockPool and PrefixCache feed it.
 //   * MetricsRegistry — named counters, gauges and log-bucketed
 //     histograms (TTFT, per-token latency, queue wait, preemption
 //     downtime, pool occupancy) with nearest-rank p50/p95/p99
@@ -24,10 +23,7 @@
 // Determinism contract: every event's VIRTUAL fields (type, seq, round,
 // a, b) are produced by coordinator-serial code in the traffic engine,
 // so the recorded sequence is bit-identical between stepped and threaded
-// runs; wall_ns is the one non-compared annotation. (The generation
-// scheduler's threaded mode has no global round clock — its events are
-// mutex-serialized but arrive in thread order; only its stepped mode is
-// deterministic.)
+// runs; wall_ns is the one non-compared annotation.
 //
 // Compile-out: mirrors PROTEA_FAILPOINTS. Under PROTEA_TELEMETRY=OFF
 // the recorder and registry compile to empty shells — configure() and
@@ -112,8 +108,8 @@ bool virtual_equal(const std::vector<TraceEvent>& x,
                    const std::vector<TraceEvent>& y);
 
 /// Fixed-capacity ring of TraceEvents. configure() preallocates; from
-/// then on record() is mutex-guarded (the generation scheduler's
-/// threaded mode records from workers), allocation-free, and keeps the
+/// then on record() is mutex-guarded (pool hooks fire from whichever
+/// thread touches the pool), allocation-free, and keeps the
 /// NEWEST `capacity` events on wraparound. The coordinator advances the
 /// virtual clock via set_round(); hook emitters (pool, prefix cache)
 /// inherit the current round so their events carry correct virtual time.
@@ -281,11 +277,10 @@ struct TelemetryOptions {
   size_t trace_capacity = 1 << 16;  // ring slots (events)
 };
 
-/// One object the engines take a pointer to (TrafficOptions::telemetry,
-/// GenerationSchedulerOptions::telemetry). configure() preallocates the
-/// ring and pre-registers the standard serving instruments; a
-/// default-constructed (unconfigured) Telemetry is inert and safe to
-/// pass around. Throws std::logic_error when PROTEA_TELEMETRY is off.
+/// One object the engine takes a pointer to (TrafficOptions::telemetry).
+/// configure() preallocates the ring and pre-registers the standard
+/// serving instruments; a default-constructed (unconfigured) Telemetry is
+/// inert and safe to pass around. Throws std::logic_error when PROTEA_TELEMETRY is off.
 class Telemetry {
  public:
   void configure(const TelemetryOptions& opts = {});

@@ -121,29 +121,6 @@ struct Waiting {
   bool wait_counted = false;  // one kv_block_waits per wait episode
 };
 
-void validate_traffic_request(const TrafficRequest& t,
-                              const ref::ModelConfig& cfg,
-                              const hw::SynthParams& synth) {
-  const GenerationRequest& r = t.gen;
-  if (r.memory == nullptr) {
-    throw std::invalid_argument("traffic request: memory missing");
-  }
-  if (r.prefix.rows() == 0 || r.prefix.cols() != cfg.d_model) {
-    throw std::invalid_argument("traffic request: bad prefix shape");
-  }
-  if (r.prefix.rows() + r.max_new_tokens > cfg.seq_len + 1) {
-    throw std::invalid_argument(
-        "traffic request: prefix + max_new_tokens exceeds seq_len + 1");
-  }
-  if (r.memory->rows() == 0 || r.memory->rows() > synth.max_seq_len ||
-      r.memory->cols() != cfg.d_model) {
-    throw std::invalid_argument("traffic request: bad memory shape");
-  }
-  if (r.max_new_tokens > 0 && !r.next_token) {
-    throw std::invalid_argument("traffic request: next_token missing");
-  }
-}
-
 /// One unit of compute for an active seat: the next prefill chunk or one
 /// decode step. This is the ONLY code that runs on worker threads; it
 /// never touches the pool beyond rows the coordinator pre-reserved, so
@@ -1233,7 +1210,7 @@ std::vector<TrafficResult> TrafficEngine::run(
         "kv_pool_blocks + kv_block_rows)");
   }
   for (const TrafficRequest& r : requests) {
-    validate_traffic_request(r, model_.config, config_.synth);
+    validate_generation_request(r.gen, model_.config, config_.synth);
   }
 
   KvBlockPool owned_pool;

@@ -1,16 +1,18 @@
-// SLO-aware traffic engine: the robustness layer over the generation
-// scheduler — victim preemption, priority classes, deadlines, cooperative
-// cancellation and graceful load shedding, driven by a seeded synthetic
-// trace generator.
+// SLO-aware traffic engine: the ONE continuous-batching serving loop over
+// GenerationSession — slots, chunked prefill, a shared paged KV pool and
+// the prefix cache, plus victim preemption, priority classes, deadlines,
+// cooperative cancellation and graceful load shedding, driven by a seeded
+// synthetic trace generator. generate_solo (runtime/generation.hpp) is
+// its independent bit-exact reference.
 //
-// The PR-4 scheduler is deadlock-free because admission is pessimistic:
-// a sequence's worst-case KV blocks are reserved up front, so under
-// bursty traffic the pool sits underused while requests queue, and
-// nothing can cancel, time out or be preempted once admitted. This
-// engine flips that: admission is OPTIMISTIC (only the first prefill
-// chunk is reserved) and block tables grow on demand; when the pool
-// comes up short, a strictly worse-ranked victim is preempted instead of
-// the requester waiting forever. Two recovery flavors, both bit-exact:
+// Pessimistic admission (reserve a sequence's worst-case KV blocks up
+// front) is deadlock-free but leaves the pool underused under bursty
+// traffic while requests queue, and nothing can cancel, time out or be
+// preempted once admitted. This engine admits OPTIMISTICALLY (only the
+// first prefill chunk is reserved) and block tables grow on demand; when
+// the pool comes up short, a strictly worse-ranked victim is preempted
+// instead of the requester waiting forever. Two recovery flavors, both
+// bit-exact:
 //
 //   * swap-out — the victim's block-table contents spill into a side
 //     buffer (KvCache::swap_out) and come back by rescatter
@@ -140,7 +142,7 @@ struct TrafficOptions {
   /// beyond this fall back to drop-and-recompute.
   size_t swap_slots = 2;
   /// false disables victim preemption entirely (requests then stall
-  /// until blocks free up — the PR-4 behavior, kept for comparison).
+  /// until blocks free up; the stall valve below sheds past the limit).
   bool preemption = true;
   /// Cross-request prefix cache (runtime/prefix_cache.hpp): admissions
   /// adopt cached prompt blocks by refcount and reuse cached cross-K/V
@@ -253,8 +255,7 @@ std::vector<StatSample> flatten_stats(const SchedulerStats& stats);
 std::string scheduler_stats_json(const SchedulerStats& stats);
 
 /// Continuous-batching engine with preemption, deadlines and shedding.
-/// Owns the model; run() is reentrant across calls like
-/// GenerationScheduler.
+/// Owns the model; run() is reentrant across calls.
 class TrafficEngine {
  public:
   TrafficEngine(accel::AccelConfig config, accel::QuantizedDecoder model);

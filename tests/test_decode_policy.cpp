@@ -16,6 +16,8 @@
 #include "ref/weights.hpp"
 #include "runtime/decode_policy.hpp"
 #include "runtime/generation.hpp"
+#include "runtime/traffic.hpp"
+#include "util/math_util.hpp"
 #include "util/rng.hpp"
 
 namespace protea {
@@ -236,11 +238,11 @@ TEST(TokenStream, SamplingIsSeedDeterministicAndTopK1IsGreedy) {
 }
 
 TEST(TokenStream, SchedulerSteppedAndThreadedEmitIdenticalStreams) {
-  // Sampling policies ride the UNCHANGED scheduler through the
+  // Sampling policies ride the UNCHANGED serving engine through the
   // next_token callback; per-request RNG + history make the streams
   // invariant to slots/threads/chunking.
   PolicyFixture fx;
-  runtime::GenerationScheduler scheduler(fx.acfg, fx.qd);
+  runtime::TrafficEngine engine(fx.acfg, fx.qd);
 
   const size_t n_req = 5;
   std::vector<std::vector<uint32_t>> prompts;
@@ -251,7 +253,7 @@ TEST(TokenStream, SchedulerSteppedAndThreadedEmitIdenticalStreams) {
 
   const auto run_mode = [&](size_t threads, size_t prefill_chunk) {
     std::vector<std::unique_ptr<runtime::TokenStream>> streams;
-    std::vector<runtime::GenerationRequest> requests;
+    std::vector<runtime::TrafficRequest> requests;
     for (size_t i = 0; i < n_req; ++i) {
       runtime::DecodePolicy p;
       p.sample = true;
@@ -262,19 +264,24 @@ TEST(TokenStream, SchedulerSteppedAndThreadedEmitIdenticalStreams) {
       streams.push_back(std::make_unique<runtime::TokenStream>(
           p, fx.vocab, 16));
       streams.back()->reset(prompts[i]);
-      runtime::GenerationRequest req;
-      req.prefix = fx.embed_rows(prompts[i]);
-      req.memory = &fx.memory;
-      req.max_new_tokens = 5;
-      req.next_token = streams.back()->callback();
+      runtime::TrafficRequest req;
+      req.gen.prefix = fx.embed_rows(prompts[i]);
+      req.gen.memory = &fx.memory;
+      req.gen.max_new_tokens = 5;
+      req.gen.next_token = streams.back()->callback();
       requests.push_back(std::move(req));
     }
-    runtime::GenerationSchedulerOptions opts;
+    runtime::TrafficOptions opts;
     opts.slots = 3;
     opts.threads = threads;
     opts.prefill_chunk = prefill_chunk;
     opts.kv_block_rows = 4;
-    scheduler.run(requests, opts);
+    // Every seat can hold a full-capacity sequence: nothing waits.
+    opts.kv_pool_blocks =
+        opts.slots * util::ceil_div<size_t>(fx.cfg.seq_len, 4);
+    for (const auto& r : engine.run(requests, opts)) {
+      EXPECT_EQ(r.outcome, runtime::TrafficOutcome::kCompleted);
+    }
     std::vector<std::vector<uint32_t>> tokens;
     for (auto& s : streams) tokens.push_back(s->tokens());
     return tokens;

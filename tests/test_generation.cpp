@@ -1,8 +1,9 @@
 // Tests for the KV-cached generation engine: bit-identity of incremental
 // decoding against the full-recompute decoder path, the incremental
-// cycle model's agreement with per-step execution, and the continuous-
-// batching scheduler's admit/retire semantics in both its deterministic
-// step-loop and threaded module-slot modes.
+// cycle model's agreement with per-step execution, the generate_solo
+// reference contract (including both capacity edges), and the serving
+// engine's continuous-batching admit/retire semantics in its stepped and
+// threaded module-slot modes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,6 +16,8 @@
 #include "ref/decoder.hpp"
 #include "ref/weights.hpp"
 #include "runtime/generation.hpp"
+#include "runtime/traffic.hpp"
+#include "util/math_util.hpp"
 #include "util/rng.hpp"
 
 namespace protea {
@@ -390,12 +393,13 @@ TEST(GenerationPerf, StepModelValidatesArguments) {
       std::invalid_argument);
 }
 
-// --- continuous-batching scheduler ------------------------------------------
+// --- generate_solo: the solo reference contract ----------------------------
 
 runtime::GenerationRequest make_request(const Fixture& fx, uint64_t seed,
-                                        uint32_t max_new) {
+                                        uint32_t max_new,
+                                        size_t prefix_rows = 1) {
   runtime::GenerationRequest req;
-  req.prefix = random_input(1, fx.cfg.d_model, seed);
+  req.prefix = random_input(prefix_rows, fx.cfg.d_model, seed);
   req.memory = &fx.memory;
   req.max_new_tokens = max_new;
   const uint32_t d = fx.cfg.d_model;
@@ -411,121 +415,299 @@ runtime::GenerationRequest make_request(const Fixture& fx, uint64_t seed,
   return req;
 }
 
-TEST(GenerationScheduler, MatchesIndividualSessions) {
+/// Wraps `req` so it counts its next_token invocations into `calls` and
+/// finishes (EOS) on the call after the first `eos_after` (-1 = never).
+void instrument(runtime::GenerationRequest& req, std::shared_ptr<int> calls,
+                int eos_after = -1) {
+  const auto inner = req.next_token;
+  req.next_token = [inner, calls, eos_after](std::span<const float> state,
+                                             tensor::MatrixF& next) {
+    if (eos_after >= 0 && *calls >= eos_after) {
+      ++*calls;
+      return false;
+    }
+    ++*calls;
+    return inner(state, next);
+  };
+}
+
+const runtime::GenerationOptions kDense{.kv_block_rows = 0};
+
+/// Engine options whose shared pool backs every seat at full capacity,
+/// so no request ever waits for blocks or is preempted.
+runtime::TrafficOptions roomy(const Fixture& fx, size_t slots,
+                              size_t block_rows = 16) {
+  runtime::TrafficOptions opts;
+  opts.slots = slots;
+  opts.kv_block_rows = block_rows;
+  opts.kv_pool_blocks =
+      slots * util::ceil_div<size_t>(fx.cfg.seq_len, block_rows);
+  return opts;
+}
+
+std::vector<runtime::TrafficRequest> as_traffic(
+    const std::vector<runtime::GenerationRequest>& requests) {
+  std::vector<runtime::TrafficRequest> out(requests.size());
+  for (size_t i = 0; i < requests.size(); ++i) out[i].gen = requests[i];
+  return out;
+}
+
+TEST(GenerateSolo, DenseMatchesFullRecomputeForward) {
+  // The reference itself is pinned to the naive controller: the forward
+  // over [prompt; every fed embedding] reproduces every state row.
+  Fixture fx;
+  const auto req = make_request(fx, 190, 6, /*prefix_rows=*/3);
+  const auto solo = runtime::generate_solo(fx.acfg, fx.qd, req, kDense);
+  ASSERT_EQ(solo.steps, 6u);
+  ASSERT_EQ(solo.states.rows(), 9u);
+
+  const size_t d = fx.cfg.d_model;
+  tensor::MatrixF inputs(3 + solo.steps, d);
+  for (size_t r = 0; r < 3; ++r) {
+    for (size_t c = 0; c < d; ++c) inputs(r, c) = req.prefix(r, c);
+  }
+  for (size_t t = 0; t < solo.steps; ++t) {  // fed token t = 0.5 * state
+    for (size_t c = 0; c < d; ++c) {
+      inputs(3 + t, c) = 0.5f * solo.states(2 + t, c);
+    }
+  }
+  accel::ProteaDecoderAccelerator acc(fx.acfg);
+  acc.load_model(fx.qd);
+  EXPECT_EQ(solo.states, acc.forward(inputs, fx.memory));
+}
+
+TEST(GenerateSolo, DenseEqualsPagedForEveryBlockSize) {
+  Fixture fx;
+  const auto req = make_request(fx, 191, 7, /*prefix_rows=*/4);
+  const auto dense = runtime::generate_solo(fx.acfg, fx.qd, req, kDense);
+  EXPECT_EQ(dense.steps, 7u);
+  for (size_t block_rows : {size_t{1}, size_t{3}, size_t{16}}) {
+    const auto paged = runtime::generate_solo(
+        fx.acfg, fx.qd, req,
+        runtime::GenerationOptions{.kv_block_rows = block_rows});
+    EXPECT_EQ(paged.steps, dense.steps) << "block rows " << block_rows;
+    EXPECT_EQ(paged.states, dense.states) << "block rows " << block_rows;
+  }
+}
+
+TEST(GenerateSolo, EarlyEosStopsAtTheCallback) {
+  Fixture fx;
+  const auto full =
+      runtime::generate_solo(fx.acfg, fx.qd, make_request(fx, 192, 6));
+  auto req = make_request(fx, 192, 6);
+  auto calls = std::make_shared<int>(0);
+  instrument(req, calls, /*eos_after=*/2);
+  const auto eos = runtime::generate_solo(fx.acfg, fx.qd, req);
+  EXPECT_EQ(*calls, 3);  // two tokens fed, the third call said EOS
+  EXPECT_EQ(eos.steps, 2u);
+  EXPECT_EQ(eos.states, full.states.slice_rows(0, 3));
+}
+
+TEST(GenerateSolo, PromptFillingCapacityStillDecodesFirstToken) {
+  // A prompt of exactly seq_len rows with max_new_tokens = 1 is legal:
+  // the first token is emitted from the last prefill state and its
+  // embedding is never fed back, so the cache needs no extra row. Held
+  // on the reference AND on the engine.
+  Fixture fx;
+  const auto build = [&fx](std::shared_ptr<int> calls) {
+    auto req = make_request(fx, 180, 1, fx.cfg.seq_len);
+    instrument(req, std::move(calls));
+    return req;
+  };
+  runtime::GenerationSession session(fx.acfg, fx.qd);
+  tensor::MatrixF prefill;
+  session.prefill(make_request(fx, 180, 1, fx.cfg.seq_len).prefix, fx.memory,
+                  prefill);
+
+  auto solo_calls = std::make_shared<int>(0);
+  const auto solo =
+      runtime::generate_solo(fx.acfg, fx.qd, build(solo_calls), kDense);
+  EXPECT_EQ(*solo_calls, 1);  // the first token WAS decoded
+  // Its state row cannot be cached (position == capacity): no decode
+  // step ran and the states are exactly the prefill states.
+  EXPECT_EQ(solo.steps, 0u);
+  EXPECT_EQ(solo.states, prefill);
+
+  auto engine_calls = std::make_shared<int>(0);
+  runtime::TrafficEngine engine(fx.acfg, fx.qd);
+  const auto served =
+      engine.run(as_traffic({build(engine_calls)}), roomy(fx, 1));
+  EXPECT_EQ(served[0].outcome, runtime::TrafficOutcome::kCompleted);
+  EXPECT_EQ(*engine_calls, 1);
+  EXPECT_EQ(served[0].steps, 0u);
+  EXPECT_EQ(served[0].states, prefill);
+}
+
+TEST(GenerateSolo, CapacityEdgeStopsDecodeWithoutOverflow) {
+  // prefix + max_new == seq_len + 1: decoding stops at the capacity
+  // instead of throwing from decode_step — seq_len - prefix steps, all
+  // seq_len token emissions served. Held on the reference AND the engine.
+  Fixture fx;
+  const auto req = make_request(fx, 185, fx.cfg.seq_len);  // prefix 1 row
+  const auto solo = runtime::generate_solo(fx.acfg, fx.qd, req, kDense);
+  EXPECT_EQ(solo.steps, static_cast<uint32_t>(fx.cfg.seq_len - 1));
+  EXPECT_EQ(solo.states.rows(), static_cast<size_t>(fx.cfg.seq_len));
+
+  for (size_t block_rows : {size_t{4}, size_t{16}}) {
+    runtime::TrafficEngine engine(fx.acfg, fx.qd);
+    const auto served =
+        engine.run(as_traffic({req}), roomy(fx, 1, block_rows));
+    EXPECT_EQ(served[0].outcome, runtime::TrafficOutcome::kCompleted);
+    EXPECT_EQ(served[0].steps, solo.steps) << "block rows " << block_rows;
+    EXPECT_EQ(served[0].states, solo.states) << "block rows " << block_rows;
+  }
+}
+
+TEST(GenerateSolo, EngineAndReferenceShareOneValidator) {
+  Fixture fx;
+  runtime::TrafficEngine engine(fx.acfg, fx.qd);
+  const auto both_reject = [&](const runtime::GenerationRequest& req) {
+    EXPECT_THROW(runtime::generate_solo(fx.acfg, fx.qd, req),
+                 std::invalid_argument);
+    EXPECT_THROW(engine.run(as_traffic({req}), roomy(fx, 1)),
+                 std::invalid_argument);
+  };
+  auto req = make_request(fx, 130, 4);
+  req.memory = nullptr;
+  both_reject(req);
+
+  // prefix + max > seq_len + 1 (the +1 edge itself is legal, see
+  // PromptFillingCapacityStillDecodesFirstToken).
+  req = make_request(fx, 131, fx.cfg.seq_len + 1);
+  both_reject(req);
+
+  req = make_request(fx, 132, 4);
+  req.next_token = nullptr;
+  both_reject(req);
+
+  req = make_request(fx, 133, 4);
+  req.prefix = random_input(2, 32, 134);  // wrong width
+  both_reject(req);
+
+  req = make_request(fx, 135, 4);
+  const auto long_memory = random_input(200, fx.cfg.d_model, 136);
+  req.memory = &long_memory;
+  both_reject(req);
+
+  auto opts = roomy(fx, 1);
+  opts.slots = 0;
+  EXPECT_THROW(engine.run(as_traffic({make_request(fx, 137, 4)}), opts),
+               std::invalid_argument);
+}
+
+// --- continuous batching on the serving engine -------------------------------
+
+void expect_matches_solo(const Fixture& fx,
+                         const std::vector<runtime::GenerationRequest>& reqs,
+                         const std::vector<runtime::TrafficResult>& results) {
+  ASSERT_EQ(results.size(), reqs.size());
+  for (size_t i = 0; i < reqs.size(); ++i) {
+    const auto solo = runtime::generate_solo(fx.acfg, fx.qd, reqs[i], kDense);
+    EXPECT_EQ(results[i].outcome, runtime::TrafficOutcome::kCompleted)
+        << "request " << i;
+    EXPECT_EQ(results[i].steps, solo.steps) << "request " << i;
+    ASSERT_EQ(results[i].states, solo.states) << "request " << i;
+  }
+}
+
+TEST(ContinuousBatching, MatchesSoloReference) {
   Fixture fx;
   std::vector<runtime::GenerationRequest> requests;
   for (uint64_t i = 0; i < 5; ++i) {
     requests.push_back(make_request(fx, 90 + i, 4 + i % 3));
   }
-  runtime::GenerationScheduler scheduler(fx.acfg, fx.qd);
-  runtime::GenerationSchedulerOptions opts;
-  opts.slots = 2;
-  const auto results = scheduler.run(requests, opts);
-  ASSERT_EQ(results.size(), requests.size());
-
+  runtime::TrafficEngine engine(fx.acfg, fx.qd);
+  const auto results = engine.run(as_traffic(requests), roomy(fx, 2));
+  expect_matches_solo(fx, requests, results);
   for (size_t i = 0; i < requests.size(); ++i) {
-    runtime::GenerationSession session(fx.acfg, fx.qd);
-    tensor::MatrixF states, state, next;
-    session.prefill(requests[i].prefix, fx.memory, states);
-    std::vector<tensor::MatrixF> rows = {states};
-    requests[i].next_token(states.row(0), next);
-    for (uint32_t t = 0; t < requests[i].max_new_tokens; ++t) {
-      session.decode_step(next, state);
-      rows.push_back(state);
-      requests[i].next_token(state.row(0), next);
-    }
-    ASSERT_EQ(results[i].states.rows(), rows.size());
-    for (size_t r = 0; r < rows.size(); ++r) {
-      for (size_t c = 0; c < fx.cfg.d_model; ++c) {
-        ASSERT_EQ(results[i].states(r, c), rows[r](0, c))
-            << "request " << i << " row " << r;
-      }
-    }
     EXPECT_EQ(results[i].steps, requests[i].max_new_tokens);
   }
 }
 
-TEST(GenerationScheduler, ShortSequencesFreeSlotsForPending) {
-  // Continuous batching: with 2 slots and lengths {7,2,2,2}, the short
-  // sequences hand their slot to the queue while the long one keeps
-  // decoding — 7 scheduler steps total. A batch-barrier scheduler
-  // (waves of 2) would need max(7,2) + max(2,2) = 9.
+TEST(ContinuousBatching, ShortSequencesFreeSlotsForPending) {
+  // Lengths {7,2,2,2} on 2 slots. The engine runs one unit per seat per
+  // round — a request with n tokens occupies its seat for 1 prefill + n
+  // decode rounds, i.e. {8,3,3,3}, and retires in its last unit's round.
+  // Continuous batching hands the short requests' seat along while the
+  // long one keeps decoding: seat A holds r0 for rounds 0-7, seat B
+  // serves r1 0-2, r2 3-5, r3 6-8, so 9 rounds in all. A batch-barrier
+  // scheduler (waves of 2) needs max(8,3) + max(3,3) = 11.
   Fixture fx;
   std::vector<runtime::GenerationRequest> requests;
   const uint32_t lengths[] = {7, 2, 2, 2};
   for (uint64_t i = 0; i < 4; ++i) {
     requests.push_back(make_request(fx, 100 + i, lengths[i]));
   }
-  runtime::GenerationScheduler scheduler(fx.acfg, fx.qd);
-  runtime::GenerationSchedulerOptions opts;
-  opts.slots = 2;
-  const auto results = scheduler.run(requests, opts);
+  runtime::TrafficEngine engine(fx.acfg, fx.qd);
+  const auto results = engine.run(as_traffic(requests), roomy(fx, 2));
+  expect_matches_solo(fx, requests, results);
 
-  const auto& stats = scheduler.last_run();
-  EXPECT_EQ(stats.scheduler_steps, 7u);
-  EXPECT_EQ(stats.prefills, 4u);
+  const auto& stats = engine.last_run();
+  constexpr uint64_t kBatchBarrierRounds = 8 + 3;
+  EXPECT_EQ(stats.rounds, 9u);
+  EXPECT_LT(stats.rounds, kBatchBarrierRounds);
+  EXPECT_EQ(stats.prefill_chunks, 4u);
   EXPECT_EQ(stats.decode_steps, 7u + 2 + 2 + 2);
   EXPECT_EQ(stats.max_active, 2u);
-  // Slot handoff order: r1 retires at step 1, r2 admitted at step 2,
-  // retires at step 3; r3 admitted at 4; the long r0 retires last.
-  EXPECT_EQ(results[0].admitted_at, 0u);
-  EXPECT_EQ(results[0].retired_at, 6u);
-  EXPECT_EQ(results[1].retired_at, 1u);
-  EXPECT_EQ(results[2].admitted_at, 2u);
-  EXPECT_EQ(results[3].admitted_at, 4u);
+  // Seat hand-off order: r1 retires in round 2, r2 takes its seat in
+  // round 3 and retires in 5, r3 takes it in 6; the long r0 retires in 7.
+  EXPECT_EQ(results[0].admitted_round, 0u);
+  EXPECT_EQ(results[0].retired_round, 7u);
+  EXPECT_EQ(results[1].retired_round, 2u);
+  EXPECT_EQ(results[2].admitted_round, 3u);
+  EXPECT_EQ(results[2].retired_round, 5u);
+  EXPECT_EQ(results[3].admitted_round, 6u);
+  EXPECT_EQ(results[3].retired_round, 8u);
 }
 
-TEST(GenerationScheduler, EarlyEosRetiresImmediately) {
+TEST(ContinuousBatching, EarlyEosRetiresImmediately) {
   Fixture fx;
   std::vector<runtime::GenerationRequest> requests;
   requests.push_back(make_request(fx, 110, 6));
   // Second request stops via callback after 2 steps.
   requests.push_back(make_request(fx, 111, 6));
-  auto inner = requests[1].next_token;
-  auto count = std::make_shared<int>(0);
-  requests[1].next_token = [inner, count](std::span<const float> state,
-                                          tensor::MatrixF& next) {
-    if (++*count > 2) return false;
-    return inner(state, next);
-  };
-  runtime::GenerationScheduler scheduler(fx.acfg, fx.qd);
-  runtime::GenerationSchedulerOptions opts;
-  opts.slots = 2;
-  const auto results = scheduler.run(requests, opts);
+  instrument(requests[1], std::make_shared<int>(0), /*eos_after=*/2);
+  runtime::TrafficEngine engine(fx.acfg, fx.qd);
+  const auto results = engine.run(as_traffic(requests), roomy(fx, 2));
   EXPECT_EQ(results[0].steps, 6u);
   EXPECT_EQ(results[1].steps, 2u);
   EXPECT_EQ(results[1].states.rows(), 3u);  // prefix + 2 steps
+  EXPECT_EQ(results[1].retired_round, 2u);  // prefill + 2 decode rounds
+  const auto full =
+      runtime::generate_solo(fx.acfg, fx.qd, make_request(fx, 111, 6));
+  EXPECT_EQ(results[1].states, full.states.slice_rows(0, 3));
 }
 
-TEST(GenerationScheduler, ThreadedMatchesStepped) {
+TEST(ContinuousBatching, ThreadedMatchesStepped) {
   Fixture fx;
   std::vector<runtime::GenerationRequest> requests;
   for (uint64_t i = 0; i < 6; ++i) {
     requests.push_back(make_request(fx, 120 + i, 3 + i % 4));
   }
-  runtime::GenerationScheduler scheduler(fx.acfg, fx.qd);
-  runtime::GenerationSchedulerOptions stepped;
-  stepped.slots = 3;
-  const auto expected = scheduler.run(requests, stepped);
+  runtime::TrafficEngine engine(fx.acfg, fx.qd);
+  auto stepped = roomy(fx, 3);
+  stepped.mha_slots = 1;  // the paper's single two-stage accelerator
+  stepped.ffn_slots = 1;
+  const auto expected = engine.run(as_traffic(requests), stepped);
+  const auto stepped_stats = engine.last_run();
+  expect_matches_solo(fx, requests, expected);
 
-  runtime::GenerationSchedulerOptions threaded;
-  threaded.slots = 3;
+  auto threaded = stepped;
   threaded.threads = 3;
-  threaded.mha_slots = 1;  // the paper's single two-stage accelerator
-  threaded.ffn_slots = 1;
-  const auto results = scheduler.run(requests, threaded);
+  const auto results = engine.run(as_traffic(requests), threaded);
   ASSERT_EQ(results.size(), expected.size());
   for (size_t i = 0; i < results.size(); ++i) {
     EXPECT_EQ(results[i].states, expected[i].states) << "request " << i;
     EXPECT_EQ(results[i].steps, expected[i].steps);
   }
-  EXPECT_EQ(scheduler.last_run().prefills, requests.size());
+  EXPECT_EQ(engine.last_run().prefill_chunks, requests.size());
+  EXPECT_EQ(engine.last_run().rounds, stepped_stats.rounds);
 }
 
-TEST(GenerationScheduler, ChunkedPrefillAdmissionMatchesOneShot) {
-  // The stepped scheduler with chunked-prefill admission (one chunk per
-  // scheduler step) must emit token-for-token identical results, while
-  // executing more prefill passes than prompts.
+TEST(ContinuousBatching, ChunkedPrefillAdmissionMatchesOneShot) {
+  // Chunked-prefill admission (one chunk per round) must emit
+  // token-for-token identical results, while executing more prefill
+  // passes than prompts.
   Fixture fx;
   std::vector<runtime::GenerationRequest> requests;
   for (uint64_t i = 0; i < 4; ++i) {
@@ -533,90 +715,19 @@ TEST(GenerationScheduler, ChunkedPrefillAdmissionMatchesOneShot) {
     req.prefix = random_input(5 + i % 3, fx.cfg.d_model, 170 + i);
     requests.push_back(std::move(req));
   }
-  runtime::GenerationScheduler scheduler(fx.acfg, fx.qd);
-  runtime::GenerationSchedulerOptions opts;
-  opts.slots = 2;
-  const auto expected = scheduler.run(requests, opts);
+  runtime::TrafficEngine engine(fx.acfg, fx.qd);
+  auto opts = roomy(fx, 2);
+  const auto expected = engine.run(as_traffic(requests), opts);
+  expect_matches_solo(fx, requests, expected);
 
   opts.prefill_chunk = 2;
-  const auto results = scheduler.run(requests, opts);
+  const auto results = engine.run(as_traffic(requests), opts);
   ASSERT_EQ(results.size(), expected.size());
   for (size_t i = 0; i < results.size(); ++i) {
     EXPECT_EQ(results[i].states, expected[i].states) << "request " << i;
     EXPECT_EQ(results[i].steps, expected[i].steps);
   }
-  EXPECT_GT(scheduler.last_run().prefill_chunks,
-            scheduler.last_run().prefills);
-}
-
-// --- capacity-edge regression (KvCache over-reservation fix) ----------------
-
-TEST(GenerationScheduler, PromptFillingCapacityStillDecodesFirstToken) {
-  // Regression: a prompt of exactly seq_len rows used to be rejected for
-  // max_new_tokens = 1 even though the first generated token is emitted
-  // from the last prefill state and its embedding is never fed back —
-  // the cache needs no extra row for it.
-  Fixture fx;
-  auto req = make_request(fx, 180, 1);
-  req.prefix = random_input(fx.cfg.seq_len, fx.cfg.d_model, 181);
-  auto emitted = std::make_shared<int>(0);
-  const auto inner = req.next_token;
-  req.next_token = [inner, emitted](std::span<const float> state,
-                                    tensor::MatrixF& next) {
-    ++*emitted;
-    return inner(state, next);
-  };
-
-  runtime::GenerationScheduler scheduler(fx.acfg, fx.qd);
-  const std::vector<runtime::GenerationRequest> requests = {req};
-  const auto results = scheduler.run(requests);
-  EXPECT_EQ(*emitted, 1);  // the first token WAS decoded
-  // Its state row cannot be cached (position == capacity), so no decode
-  // step ran and the states are exactly the prefill states.
-  EXPECT_EQ(results[0].steps, 0u);
-  EXPECT_EQ(results[0].states.rows(), static_cast<size_t>(fx.cfg.seq_len));
-
-  runtime::GenerationSession session(fx.acfg, fx.qd);
-  tensor::MatrixF states;
-  session.prefill(req.prefix, fx.memory, states);
-  EXPECT_EQ(results[0].states, states);
-}
-
-TEST(GenerationScheduler, CapacityEdgeStopsDecodeWithoutOverflow) {
-  // prefix + max_new == seq_len + 1: the run must stop at the capacity
-  // instead of throwing from decode_step — seq_len - prefix steps, all
-  // seq_len token emissions served.
-  Fixture fx;
-  const std::vector<runtime::GenerationRequest> requests = {
-      make_request(fx, 185, fx.cfg.seq_len)};  // prefix rows = 1
-  runtime::GenerationScheduler scheduler(fx.acfg, fx.qd);
-  const auto results = scheduler.run(requests);
-  EXPECT_EQ(results[0].steps, static_cast<uint32_t>(fx.cfg.seq_len - 1));
-  EXPECT_EQ(results[0].states.rows(), static_cast<size_t>(fx.cfg.seq_len));
-}
-
-TEST(GenerationScheduler, ValidatesRequests) {
-  Fixture fx;
-  runtime::GenerationScheduler scheduler(fx.acfg, fx.qd);
-  std::vector<runtime::GenerationRequest> requests;
-  requests.push_back(make_request(fx, 130, 4));
-  requests[0].memory = nullptr;
-  EXPECT_THROW(scheduler.run(requests), std::invalid_argument);
-
-  requests[0] = make_request(fx, 131, 4);
-  // prefix + max > seq_len + 1 (the +1 edge is legal: the final token's
-  // embedding is never appended, see PromptFillingCapacity* below).
-  requests[0].max_new_tokens = fx.cfg.seq_len + 1;
-  EXPECT_THROW(scheduler.run(requests), std::invalid_argument);
-
-  requests[0] = make_request(fx, 132, 4);
-  requests[0].next_token = nullptr;
-  EXPECT_THROW(scheduler.run(requests), std::invalid_argument);
-
-  requests[0] = make_request(fx, 133, 4);
-  runtime::GenerationSchedulerOptions opts;
-  opts.slots = 0;
-  EXPECT_THROW(scheduler.run(requests, opts), std::invalid_argument);
+  EXPECT_GT(engine.last_run().prefill_chunks, requests.size());
 }
 
 }  // namespace

@@ -1,11 +1,11 @@
-// Randomized stress/property tests for the continuous-batching
-// generation scheduler: mixed prompt lengths, staggered admission, early
-// finishes, slot reuse and shared-pool block exhaustion, run with fixed
-// seeds. The invariant throughout: every scheduling mode — stepped or
-// threaded, dense or paged, private or shared pool, chunked or one-shot
-// prefill — emits token-for-token (bit-for-bit) identical results,
-// because per-sequence work is scheduling-invariant and the int8
-// datapath is exact.
+// Randomized stress/property tests for continuous batching on the serving
+// engine: mixed prompt lengths, staggered admission, early finishes, slot
+// reuse and shared-pool block exhaustion, run with fixed seeds. The
+// invariant throughout: every scheduling mode — stepped or threaded,
+// roomy or starved pool, any block size, chunked or one-shot prefill —
+// emits token-for-token (bit-for-bit) the results of the dense solo
+// reference (generate_solo), because per-sequence work is
+// scheduling-invariant and the int8 datapath is exact.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,6 +15,8 @@
 #include "accel/decoder_model.hpp"
 #include "ref/weights.hpp"
 #include "runtime/generation.hpp"
+#include "runtime/traffic.hpp"
+#include "util/math_util.hpp"
 #include "util/rng.hpp"
 
 namespace protea {
@@ -92,155 +94,164 @@ std::vector<runtime::GenerationRequest> build_requests(
   return requests;
 }
 
-void expect_same_results(const std::vector<runtime::GenerationResult>& a,
-                         const std::vector<runtime::GenerationResult>& b,
+/// Same scrubbed mix as build_requests, wrapped for the engine (all
+/// arrive at round 0 in one priority class: FCFS by submission order).
+std::vector<runtime::TrafficRequest> build_traffic(const StressFixture& fx,
+                                                   size_t count,
+                                                   uint64_t seed) {
+  auto gens = build_requests(fx, count, seed);
+  std::vector<runtime::TrafficRequest> out(gens.size());
+  for (size_t i = 0; i < gens.size(); ++i) out[i].gen = std::move(gens[i]);
+  return out;
+}
+
+/// The oracle: every request served alone on a dense cache.
+std::vector<runtime::GenerationResult> solo_reference(const StressFixture& fx,
+                                                      size_t count,
+                                                      uint64_t seed) {
+  std::vector<runtime::GenerationResult> out;
+  for (const auto& req : build_requests(fx, count, seed)) {
+    out.push_back(runtime::generate_solo(
+        fx.acfg, fx.qd, req, runtime::GenerationOptions{.kv_block_rows = 0}));
+  }
+  return out;
+}
+
+runtime::TrafficOptions engine_options(size_t slots, size_t block_rows,
+                                       size_t pool_blocks) {
+  runtime::TrafficOptions opts;
+  opts.slots = slots;
+  opts.kv_block_rows = block_rows;
+  opts.kv_pool_blocks = pool_blocks;
+  return opts;
+}
+
+void expect_same_results(const std::vector<runtime::TrafficResult>& got,
+                         const std::vector<runtime::GenerationResult>& want,
                          const char* what) {
-  ASSERT_EQ(a.size(), b.size()) << what;
-  for (size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].steps, b[i].steps) << what << " request " << i;
-    ASSERT_EQ(a[i].states, b[i].states) << what << " request " << i;
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].outcome, runtime::TrafficOutcome::kCompleted)
+        << what << " request " << i << ": " << got[i].shed_reason;
+    EXPECT_EQ(got[i].steps, want[i].steps) << what << " request " << i;
+    ASSERT_EQ(got[i].states, want[i].states) << what << " request " << i;
   }
 }
 
 TEST(GenerationStress, AllSchedulingModesMatchTokenForToken) {
   StressFixture fx;
-  runtime::GenerationScheduler scheduler(fx.acfg, fx.qd);
+  runtime::TrafficEngine engine(fx.acfg, fx.qd);
   constexpr size_t kRequests = 10;
   constexpr uint64_t kSeed = 600;
+  const auto expected = solo_reference(fx, kRequests, kSeed);
 
-  // Reference: deterministic stepped loop, one slot (pure sequential),
-  // dense caches — the PR-3 baseline semantics.
-  runtime::GenerationSchedulerOptions reference;
-  reference.slots = 1;
-  reference.kv_block_rows = 0;
-  const auto expected =
-      scheduler.run(build_requests(fx, kRequests, kSeed), reference);
-
-  // Stepped, multi-slot, paged private pools.
-  runtime::GenerationSchedulerOptions stepped;
-  stepped.slots = 4;
-  stepped.kv_block_rows = 4;
+  // Stepped, multi-slot, a pool backing every seat at full capacity.
+  const size_t full = util::ceil_div<size_t>(fx.cfg.seq_len, 4);
   expect_same_results(
-      scheduler.run(build_requests(fx, kRequests, kSeed), stepped),
-      expected, "stepped/paged");
-  EXPECT_EQ(scheduler.last_run().prefills, kRequests);
+      engine.run(build_traffic(fx, kRequests, kSeed),
+                 engine_options(4, 4, 4 * full)),
+      expected, "stepped/roomy");
+  EXPECT_EQ(engine.last_run().prefill_chunks, kRequests);
 
-  // Stepped, shared pool + chunked prefill.
-  runtime::GenerationSchedulerOptions shared;
-  shared.slots = 4;
-  shared.kv_block_rows = 4;
-  shared.kv_pool_blocks = 16;
+  // Stepped, a contended shared pool + chunked prefill.
+  auto shared = engine_options(4, 4, 16);
   shared.prefill_chunk = 3;
-  expect_same_results(
-      scheduler.run(build_requests(fx, kRequests, kSeed), shared),
-      expected, "stepped/shared/chunked");
-  EXPECT_GE(scheduler.last_run().prefill_chunks,
-            scheduler.last_run().prefills);
+  expect_same_results(engine.run(build_traffic(fx, kRequests, kSeed), shared),
+                      expected, "stepped/shared/chunked");
+  EXPECT_GT(engine.last_run().prefill_chunks, kRequests);
 
   // Threaded continuous batching over the module-slot semaphores (the
   // paper's single two-stage accelerator), shared pool.
-  runtime::GenerationSchedulerOptions threaded;
-  threaded.slots = 4;
+  auto threaded = engine_options(4, 4, 16);
   threaded.threads = 4;
   threaded.mha_slots = 1;
   threaded.ffn_slots = 1;
-  threaded.kv_block_rows = 4;
-  threaded.kv_pool_blocks = 16;
   expect_same_results(
-      scheduler.run(build_requests(fx, kRequests, kSeed), threaded),
-      expected, "threaded/shared");
-  EXPECT_EQ(scheduler.last_run().prefills, kRequests);
+      engine.run(build_traffic(fx, kRequests, kSeed), threaded), expected,
+      "threaded/shared");
+  EXPECT_EQ(engine.last_run().prefill_chunks, kRequests);
 }
 
 TEST(GenerationStress, BlockExhaustionDefersAdmissionWithoutCorruption) {
   // Shared pool sized for ~1.5 worst-case sequences: admissions must
   // WAIT for retiring sequences' blocks (kv_block_waits > 0) and the
-  // outputs must still match the unconstrained reference exactly.
+  // outputs must still match the solo reference exactly.
   StressFixture fx;
-  runtime::GenerationScheduler scheduler(fx.acfg, fx.qd);
+  runtime::TrafficEngine engine(fx.acfg, fx.qd);
   constexpr size_t kRequests = 8;
   constexpr uint64_t kSeed = 700;
+  const auto expected = solo_reference(fx, kRequests, kSeed);
 
-  runtime::GenerationSchedulerOptions reference;
-  reference.slots = 1;
-  reference.kv_block_rows = 0;
-  const auto expected =
-      scheduler.run(build_requests(fx, kRequests, kSeed), reference);
-
-  runtime::GenerationSchedulerOptions starved;
-  starved.slots = 4;
-  starved.kv_block_rows = 2;
-  starved.kv_pool_blocks = 9;  // one request can need up to 6 blocks
-  expect_same_results(
-      scheduler.run(build_requests(fx, kRequests, kSeed), starved),
-      expected, "stepped/starved");
-  const auto& stats = scheduler.last_run();
-  EXPECT_GT(stats.kv_block_waits, 0u);
+  // One request can need up to 6 two-row blocks.
+  const auto starved = engine_options(4, 2, 9);
+  expect_same_results(engine.run(build_traffic(fx, kRequests, kSeed), starved),
+                      expected, "stepped/starved");
+  const runtime::SchedulerStats stats = engine.last_run();
+  EXPECT_GT(stats.total(&runtime::TrafficClassStats::kv_block_waits), 0u);
   EXPECT_LE(stats.kv_blocks_peak, 9u);
 
-  // Same starvation level, threaded: workers park on the pool's
-  // condition variable and are woken by retirements — run must complete
-  // (no deadlock: reservations are all-or-nothing at admission) with
-  // identical outputs.
-  runtime::GenerationSchedulerOptions starved_threaded = starved;
+  // Same starvation level, threaded: pool mutations stay
+  // coordinator-serial, so the run completes with identical outputs
+  // and the identical wait/preemption schedule.
+  auto starved_threaded = starved;
   starved_threaded.threads = 4;
   starved_threaded.mha_slots = 2;
   starved_threaded.ffn_slots = 2;
   expect_same_results(
-      scheduler.run(build_requests(fx, kRequests, kSeed), starved_threaded),
+      engine.run(build_traffic(fx, kRequests, kSeed), starved_threaded),
       expected, "threaded/starved");
+  const auto& threaded_stats = engine.last_run();
+  EXPECT_EQ(threaded_stats.total(&runtime::TrafficClassStats::kv_block_waits),
+            stats.total(&runtime::TrafficClassStats::kv_block_waits));
+  EXPECT_EQ(threaded_stats.total(&runtime::TrafficClassStats::preemptions),
+            stats.total(&runtime::TrafficClassStats::preemptions));
+  EXPECT_EQ(threaded_stats.rounds, stats.rounds);
 }
 
 TEST(GenerationStress, SlotReuseAcrossManySequences) {
   // 12 requests through 2 slots: each slot serves ~6 sequences
   // back-to-back, recycling its session storage and blocks every time.
   StressFixture fx;
-  runtime::GenerationScheduler scheduler(fx.acfg, fx.qd);
+  runtime::TrafficEngine engine(fx.acfg, fx.qd);
   constexpr size_t kRequests = 12;
   constexpr uint64_t kSeed = 800;
+  const auto expected = solo_reference(fx, kRequests, kSeed);
 
-  runtime::GenerationSchedulerOptions reference;
-  reference.slots = 1;
-  reference.kv_block_rows = 0;
-  const auto expected =
-      scheduler.run(build_requests(fx, kRequests, kSeed), reference);
-
-  runtime::GenerationSchedulerOptions two_slots;
-  two_slots.slots = 2;
-  two_slots.kv_block_rows = 3;
-  two_slots.kv_pool_blocks = 10;
   expect_same_results(
-      scheduler.run(build_requests(fx, kRequests, kSeed), two_slots),
+      engine.run(build_traffic(fx, kRequests, kSeed), engine_options(2, 3, 10)),
       expected, "two-slot reuse");
-  EXPECT_EQ(scheduler.last_run().prefills, kRequests);
-  EXPECT_LE(scheduler.last_run().max_active, 2u);
+  EXPECT_EQ(engine.last_run().prefill_chunks, kRequests);
+  EXPECT_LE(engine.last_run().max_active, 2u);
 }
 
 TEST(GenerationStress, FixedSeedRunsAreReproducible) {
-  // The stepped scheduler is deterministic end to end: two runs from the
-  // same seed produce identical stats-relevant schedules and identical
-  // bits, including under backpressure.
+  // The engine is deterministic end to end: two runs from the same seed
+  // produce identical schedules and identical bits, including under
+  // backpressure.
   StressFixture fx;
-  runtime::GenerationScheduler scheduler(fx.acfg, fx.qd);
-  runtime::GenerationSchedulerOptions opts;
-  opts.slots = 3;
-  opts.kv_block_rows = 2;
-  opts.kv_pool_blocks = 12;
+  runtime::TrafficEngine engine(fx.acfg, fx.qd);
+  auto opts = engine_options(3, 2, 12);
   opts.prefill_chunk = 2;
 
-  const auto first = scheduler.run(build_requests(fx, 9, 900), opts);
-  const auto stats_first = scheduler.last_run();
-  const auto second = scheduler.run(build_requests(fx, 9, 900), opts);
-  const auto& stats_second = scheduler.last_run();
-  expect_same_results(first, second, "repeat run");
+  const auto first = engine.run(build_traffic(fx, 9, 900), opts);
+  const runtime::SchedulerStats stats_first = engine.last_run();
+  const auto second = engine.run(build_traffic(fx, 9, 900), opts);
+  const auto& stats_second = engine.last_run();
+  ASSERT_EQ(first.size(), second.size());
   for (size_t i = 0; i < first.size(); ++i) {
-    EXPECT_EQ(first[i].admitted_at, second[i].admitted_at) << i;
-    EXPECT_EQ(first[i].retired_at, second[i].retired_at) << i;
+    EXPECT_EQ(first[i].outcome, second[i].outcome) << i;
+    EXPECT_EQ(first[i].steps, second[i].steps) << i;
+    ASSERT_EQ(first[i].states, second[i].states) << i;
+    EXPECT_EQ(first[i].admitted_round, second[i].admitted_round) << i;
+    EXPECT_EQ(first[i].retired_round, second[i].retired_round) << i;
+    EXPECT_EQ(first[i].preemptions, second[i].preemptions) << i;
   }
-  EXPECT_EQ(stats_first.scheduler_steps, stats_second.scheduler_steps);
+  EXPECT_EQ(stats_first.rounds, stats_second.rounds);
   EXPECT_EQ(stats_first.decode_steps, stats_second.decode_steps);
   EXPECT_EQ(stats_first.prefill_chunks, stats_second.prefill_chunks);
-  EXPECT_EQ(stats_first.kv_block_waits, stats_second.kv_block_waits);
+  EXPECT_EQ(stats_first.replayed_rows, stats_second.replayed_rows);
+  EXPECT_EQ(stats_first.total(&runtime::TrafficClassStats::kv_block_waits),
+            stats_second.total(&runtime::TrafficClassStats::kv_block_waits));
 }
 
 }  // namespace

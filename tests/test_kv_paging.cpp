@@ -91,8 +91,6 @@ TEST(KvBlockPool, ValidatesArguments) {
   EXPECT_THROW(pool.try_reserve(1, out), std::logic_error);  // unconfigured
 
   pool.configure(2, 2, 16);
-  // A request larger than the pool could never be satisfied by waiting.
-  EXPECT_THROW(pool.reserve_wait(3, out), runtime::KvBlockExhausted);
   const uint32_t bad = 7;
   EXPECT_THROW(pool.release({&bad, 1}), std::invalid_argument);
   EXPECT_EQ(pool.free_blocks(), 2u);  // failed release mutated nothing
@@ -497,11 +495,6 @@ TEST(KvBlockPool, ForcedExhaustionSparesCreditedTakes) {
   EXPECT_FALSE(pool.try_reserve(1, out));
   EXPECT_FALSE(pool.try_reserve(1, out));
   EXPECT_EQ(pool.failpoint_trips(), 2u);
-
-  // A blocking reserve would otherwise live-lock on its own failpoint
-  // (the wait predicate is already true, so the retry spins): it must
-  // fail loudly instead, taking nothing.
-  EXPECT_THROW(pool.reserve_wait(1, out), runtime::KvBlockExhausted);
   EXPECT_TRUE(out.empty());
 
   std::vector<uint32_t> credited;

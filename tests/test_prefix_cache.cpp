@@ -463,38 +463,50 @@ TEST(PrefixCacheScheduler, CachedRunsBitIdenticalAndCount) {
     requests.push_back(make_request(prompt, fx.memory, 2));
   }
 
-  runtime::GenerationScheduler sched(fx.acfg, fx.qd);
-  runtime::GenerationSchedulerOptions off;
+  std::vector<runtime::TrafficRequest> traffic(requests.size());
+  for (size_t i = 0; i < requests.size(); ++i) traffic[i].gen = requests[i];
+
+  runtime::TrafficEngine engine(fx.acfg, fx.qd);
+  runtime::TrafficOptions off;
   off.slots = 3;
   off.prefill_chunk = 2;
   off.kv_block_rows = 2;
   off.kv_pool_blocks = 64;
-  const auto baseline = sched.run(requests, off);
+  const auto baseline = engine.run(traffic, off);
+  for (size_t i = 0; i < baseline.size(); ++i) {
+    const auto solo = runtime::generate_solo(
+        fx.acfg, fx.qd, requests[i],
+        runtime::GenerationOptions{.kv_block_rows = 0});
+    EXPECT_EQ(baseline[i].states, solo.states) << "request " << i;
+  }
 
-  runtime::GenerationSchedulerOptions on = off;
+  runtime::TrafficOptions on = off;
   on.prefix_cache = true;
-  const auto cached = sched.run(requests, on);
+  const auto cached = engine.run(traffic, on);
   ASSERT_EQ(cached.size(), baseline.size());
   for (size_t i = 0; i < cached.size(); ++i) {
     EXPECT_EQ(cached[i].states, baseline[i].states) << "request " << i;
     EXPECT_EQ(cached[i].steps, baseline[i].steps);
   }
-  const runtime::GenerationRunStats st = sched.last_run();
+  const runtime::SchedulerStats st = engine.last_run();
   EXPECT_GT(st.prefix_hits, 0u);
   EXPECT_GT(st.prefix_rows_adopted, 0u);
   EXPECT_GT(st.prefix_bytes_saved, 0u);
   EXPECT_GT(st.cross_kv_hits, 0u);
 
-  // Threaded outputs stay bit-identical (hit/miss split may differ).
+  // Threaded: outputs AND the hit/miss split stay identical (every cache
+  // operation runs in the coordinator).
   on.threads = 3;
-  const auto threaded = sched.run(requests, on);
+  const auto threaded = engine.run(traffic, on);
   for (size_t i = 0; i < threaded.size(); ++i) {
     EXPECT_EQ(threaded[i].states, baseline[i].states) << "request " << i;
   }
+  EXPECT_EQ(engine.last_run().prefix_hits, st.prefix_hits);
+  EXPECT_EQ(engine.last_run().prefix_rows_adopted, st.prefix_rows_adopted);
 
-  runtime::GenerationSchedulerOptions bad = on;
-  bad.kv_pool_blocks = 0;
-  EXPECT_THROW(sched.run(requests, bad), std::invalid_argument);
+  runtime::TrafficOptions bad = on;
+  bad.kv_pool_blocks = 0;  // the cache needs a shared pool
+  EXPECT_THROW(engine.run(traffic, bad), std::invalid_argument);
 }
 
 // --- traffic-engine integration ----------------------------------------------

@@ -1,8 +1,8 @@
 // Tests for the SLO-aware traffic engine (runtime/traffic.hpp) and its
 // supporting robustness machinery:
 //
-//   * the core property — completed requests are BIT-IDENTICAL to an
-//     unconstrained PR-4 scheduler run no matter how often they were
+//   * the core property — completed requests are BIT-IDENTICAL to the
+//     dense solo reference (generate_solo) no matter how often they were
 //     preempted, for both recovery strategies (swap-out and
 //     drop-and-recompute), every block size / prefill chunking, and with
 //     deterministic failpoint storms injected into the block pool;
@@ -128,11 +128,17 @@ std::vector<runtime::TrafficRequest> build_mix(const TrafficFixture& fx,
   return requests;
 }
 
-std::vector<runtime::GenerationRequest> to_gen(
-    std::vector<runtime::TrafficRequest> requests) {
-  std::vector<runtime::GenerationRequest> out;
+/// The oracle: every request served alone on a dense cache
+/// (generate_solo), sharing no code with the engine under test.
+std::vector<runtime::GenerationResult> solo_reference(
+    const TrafficFixture& fx,
+    const std::vector<runtime::TrafficRequest>& requests) {
+  std::vector<runtime::GenerationResult> out;
   out.reserve(requests.size());
-  for (auto& r : requests) out.push_back(std::move(r.gen));
+  for (const auto& r : requests) {
+    out.push_back(runtime::generate_solo(
+        fx.acfg, fx.qd, r.gen, runtime::GenerationOptions{.kv_block_rows = 0}));
+  }
   return out;
 }
 
@@ -175,12 +181,7 @@ TEST(TrafficEngine, RecoveryStrategiesBitIdenticalUnderPreemptionStorm) {
   constexpr size_t kRequests = 10;
   constexpr uint64_t kSeed = 1000;
 
-  runtime::GenerationScheduler reference(fx.acfg, fx.qd);
-  runtime::GenerationSchedulerOptions ref_opts;
-  ref_opts.slots = 1;
-  ref_opts.kv_block_rows = 0;
-  const auto expected =
-      reference.run(to_gen(build_mix(fx, kRequests, kSeed)), ref_opts);
+  const auto expected = solo_reference(fx, build_mix(fx, kRequests, kSeed));
 
   runtime::TrafficEngine engine(fx.acfg, fx.qd);
   uint64_t preemptions = 0, swap_outs = 0, recomputes = 0, restores = 0;
@@ -327,11 +328,7 @@ TEST(TrafficEngine, DeadlinesOverloadShedAndLateCompletion) {
     return reqs;
   };
 
-  runtime::GenerationScheduler reference(fx.acfg, fx.qd);
-  runtime::GenerationSchedulerOptions ref_opts;
-  ref_opts.slots = 1;
-  ref_opts.kv_block_rows = 0;
-  const auto expected = reference.run(to_gen(build()), ref_opts);
+  const auto expected = solo_reference(fx, build());
 
   runtime::TrafficOptions opts;
   opts.slots = 1;
@@ -398,13 +395,9 @@ TEST(TrafficEngine, CooperativeCancelReturnsPartialOutput) {
   reqs[1].cancel = cancel_flag;
 
   // Uncancelled reference for request 1 (fresh, same seed).
-  runtime::GenerationScheduler reference(fx.acfg, fx.qd);
-  runtime::GenerationSchedulerOptions ref_opts;
-  ref_opts.slots = 1;
-  ref_opts.kv_block_rows = 0;
-  std::vector<runtime::GenerationRequest> solo;
-  solo.push_back(make_gen_request(fx, 2, 8, 0.4f, -1, 22));
-  const auto expected = reference.run(solo, ref_opts);
+  const auto expected = runtime::generate_solo(
+      fx.acfg, fx.qd, make_gen_request(fx, 2, 8, 0.4f, -1, 22),
+      runtime::GenerationOptions{.kv_block_rows = 0});
 
   runtime::TrafficOptions opts;
   opts.slots = 2;
@@ -419,7 +412,7 @@ TEST(TrafficEngine, CooperativeCancelReturnsPartialOutput) {
   EXPECT_LT(results[1].steps, 8u);
   const size_t partial_rows = 2 + results[1].steps;
   ASSERT_EQ(results[1].states.rows(), partial_rows);
-  expect_rows_equal(results[1].states, expected[0].states, partial_rows,
+  expect_rows_equal(results[1].states, expected.states, partial_rows,
                     "cancelled prefix");
   EXPECT_EQ(engine.last_run().cls(TrafficPriority::kBatch).cancelled, 1u);
 }
@@ -496,11 +489,7 @@ TEST(TrafficEngine, StallValveForceShedsWhenPreemptionDisabled) {
     return reqs;
   };
 
-  runtime::GenerationScheduler reference(fx.acfg, fx.qd);
-  runtime::GenerationSchedulerOptions ref_opts;
-  ref_opts.slots = 1;
-  ref_opts.kv_block_rows = 0;
-  const auto expected = reference.run(to_gen(build()), ref_opts);
+  const auto expected = solo_reference(fx, build());
 
   runtime::TrafficOptions opts;
   opts.slots = 2;

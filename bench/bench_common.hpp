@@ -19,10 +19,16 @@ namespace protea::bench {
 /// Median of timing samples — medians shrug off the scheduler hiccups
 /// that corrupt a mean. Samples are util::Stopwatch readings, so every
 /// bench stamp shares the telemetry layer's clock (util::monotonic_ns).
-inline double median(std::vector<double> v) {
+/// quantile() is the nearest-rank q in [0, 1]; median() is q = 0.5 (the
+/// upper middle sample for an even count).
+inline double quantile(std::vector<double> v, double q) {
   if (v.empty()) return 0.0;
   std::sort(v.begin(), v.end());
-  return v[v.size() / 2];
+  return v[static_cast<size_t>(q * static_cast<double>(v.size() - 1) + 0.5)];
+}
+
+inline double median(std::vector<double> v) {
+  return quantile(std::move(v), 0.5);
 }
 
 /// Median wall time of `reps` invocations of `fn`, in milliseconds, on

@@ -688,14 +688,13 @@ int main(int argc, char** argv) {
                        sharing_happened ? 1.0 : 0.0, "bool"});
   }
 
-  // --- gather-free paged decode: block-strided spans vs gather fallback ----
-  // Before/after in ONE run: the same quantized model decodes the same
-  // token rows through the legacy gather fallback (copy the cached
-  // prefix into contiguous scratch every step — kv_gather_fallback) and
-  // the block-strided default (QK/SV stream the block table in place,
-  // softmax fused on the i32 accumulator). Steps are timed around
-  // T=128; outputs must match bit for bit and the strided session must
-  // report zero gathered bytes — both folded into the exit gate.
+  // --- block-strided paged decode vs the dense reference -------------------
+  // The same quantized model decodes the same token rows through the
+  // dense layout (block_rows = 0: contiguous K/V, the bit-exact layout
+  // reference) and the paged default (QK/SV stream the block table in
+  // place, softmax fused on the i32 accumulator). Steps are timed
+  // around T=128; outputs must match bit for bit and the paged session
+  // must stream span runs — both folded into the exit gate.
   {
     ref::ModelConfig mid;
     mid.name = "decoder-strided";
@@ -721,80 +720,64 @@ int main(int argc, char** argv) {
     for (float& x : tokens.flat()) x = static_cast<float>(rng.normal());
 
     const accel::AccelConfig hw_cfg;  // sessions bind by reference
-    accel::EngineStats gather_stats, strided_stats;
-    runtime::GenerationOptions gather_opts;
-    gather_opts.kv_block_rows = 16;
-    gather_opts.kv_gather_fallback = true;  // the pre-span reference
-    runtime::GenerationSession gather(hw_cfg, qd, &gather_stats,
-                                      gather_opts);
+    accel::EngineStats strided_stats;
+    runtime::GenerationOptions dense_opts;
+    dense_opts.kv_block_rows = 0;
+    runtime::GenerationSession dense(hw_cfg, qd, nullptr, dense_opts);
     runtime::GenerationOptions strided_opts;
     strided_opts.kv_block_rows = 16;
     runtime::GenerationSession strided(hw_cfg, qd, &strided_stats,
                                        strided_opts);
 
-    tensor::MatrixF gs, ss, state;
-    gather.prefill(prefix, memory, gs);
+    tensor::MatrixF ds, ss, state;
+    dense.prefill(prefix, memory, ds);
     strided.prefill(prefix, memory, ss);
-    bool strided_identical = gs == ss;
+    bool strided_identical = ds == ss;
 
-    // Interleave the timed steps (gather, strided, gather, ...) so both
-    // modes see the same clock/thermal conditions; per-step wall times
+    // Interleave the timed steps (dense, strided, dense, ...) so both
+    // layouts see the same clock/thermal conditions; per-step wall times
     // accumulate separately.
-    const uint64_t gathered_before = gather_stats.gathered_bytes;
     const uint64_t runs_before = strided_stats.span_runs;
-    tensor::MatrixF gstate;
-    std::vector<double> gather_samples, strided_samples;
+    tensor::MatrixF dstate;
+    std::vector<double> dense_samples, strided_samples;
     util::Stopwatch watch;
     for (uint32_t t = 0; t < steps; ++t) {
       const auto token = tokens.slice_rows(t, 1);
       watch.reset();
-      gather.decode_step(token, gstate);
-      gather_samples.push_back(watch.milliseconds());
+      dense.decode_step(token, dstate);
+      dense_samples.push_back(watch.milliseconds());
       watch.reset();
       strided.decode_step(token, state);
       strided_samples.push_back(watch.milliseconds());
-      strided_identical = strided_identical && state == gstate;
+      strided_identical = strided_identical && state == dstate;
     }
-    const double gather_ms = bench::median(gather_samples);
+    const double dense_ms = bench::median(dense_samples);
     const double strided_ms = bench::median(strided_samples);
-    const uint64_t gathered = gather_stats.gathered_bytes - gathered_before;
     const uint64_t span_runs = strided_stats.span_runs - runs_before;
-    const bool zero_gather = strided_stats.gathered_bytes == 0;
-    identical = identical && strided_identical && zero_gather;
+    strided_identical = strided_identical && span_runs > 0;
+    identical = identical && strided_identical;
 
     std::printf(
         "executed paged decode @ T=128 (%s, d=%u, h=%u, N=%u, 16-row "
-        "blocks, %u timed steps): gather fallback %.3f ms/step "
-        "(%llu KiB copied), block-strided %.3f ms/step (%.2fx, %llu span "
-        "runs, %llu gathered bytes), outputs %s\n\n",
+        "blocks, %u timed steps): dense %.3f ms/step, block-strided "
+        "%.3f ms/step (%llu span runs), outputs %s\n\n",
         ci ? "ci" : "full", mid.d_model, mid.num_heads, mid.num_layers,
-        steps, gather_ms,
-        static_cast<unsigned long long>(gathered / 1024), strided_ms,
-        gather_ms / strided_ms, static_cast<unsigned long long>(span_runs),
-        static_cast<unsigned long long>(strided_stats.gathered_bytes),
-        strided_identical && zero_gather ? "IDENTICAL" : "DIVERGED");
-    records.push_back(
-        {"decode_T128_d256", "gather_step_ms", gather_ms, "ms"});
+        steps, dense_ms, strided_ms,
+        static_cast<unsigned long long>(span_runs),
+        strided_identical ? "IDENTICAL" : "DIVERGED");
+    records.push_back({"decode_T128_d256", "dense_step_ms", dense_ms, "ms"});
     records.push_back(
         {"decode_T128_d256", "strided_step_ms", strided_ms, "ms"});
-    records.push_back({"decode_T128_d256", "step_speedup",
-                       gather_ms / strided_ms, "x"});
-    records.push_back({"decode_T128_d256", "gather_bytes_per_step",
-                       static_cast<double>(gathered) / steps, "B"});
-    records.push_back({"decode_T128_d256", "strided_gathered_bytes",
-                       static_cast<double>(strided_stats.gathered_bytes),
-                       "B"});
     records.push_back({"decode_T128_d256", "strided_span_runs",
                        static_cast<double>(span_runs), "runs"});
     records.push_back({"decode_T128_d256", "outputs_bit_identical",
-                       strided_identical && zero_gather ? 1.0 : 0.0,
-                       "bool"});
+                       strided_identical ? 1.0 : 0.0, "bool"});
 
     // Isolated attention stage at the same shape (one head, 128 cached
-    // rows): span engines straight off the block table vs gather-then-
-    // contiguous. The full step above is dominated by weight
-    // packing/GEMM work identical in both modes; this isolates exactly
-    // the stage the block-strided path rewrites.
+    // rows): span engines straight off the block table vs the contiguous
+    // engines over the same rows held densely. The full step above is
+    // dominated by weight packing/GEMM work identical in both layouts;
+    // this isolates exactly the stage the block-strided path rewrites.
     {
       runtime::KvCache cache;
       runtime::KvCacheOptions kv_opts;
@@ -804,7 +787,7 @@ int main(int argc, char** argv) {
                       rows, kv_opts);
       cache.begin_sequence(rows);
       if (!cache.try_reserve_rows(rows)) throw std::logic_error("bench kv");
-      tensor::MatrixI8 fill(rows, dk);
+      tensor::MatrixI8 fill(rows, dk);  // every (layer, head)'s K and V
       for (int8_t& x : fill.flat()) {
         x = static_cast<int8_t>(rng.next() % 255 - 127);
       }
@@ -823,11 +806,11 @@ int main(int argc, char** argv) {
       const auto rq_sv = numeric::make_requant_params(1.0 / 160.0);
       const accel::SoftmaxUnit softmax(0.08);
       runtime::WorkspaceArena ws(1 << 20);
-      tensor::MatrixI8 weights(1, rows), scores(1, dk);
-      tensor::MatrixI8 weights_ref(1, rows), scores_ref(1, dk);
+      tensor::MatrixI8 attn(1, rows), scores(1, dk);
+      tensor::MatrixI8 attn_ref(1, rows), scores_ref(1, dk);
 
       const uint32_t reps = 300;
-      std::vector<double> span_us, copy_us;
+      std::vector<double> span_us, contiguous_us;
       for (uint32_t r = 0; r < reps; ++r) {
         const size_t layer = r % mid.num_layers;
         const size_t head = r % mid.num_heads;
@@ -841,43 +824,37 @@ int main(int argc, char** argv) {
           const auto k = cache.self_spans(layer, head, 0, rows, k_runs);
           const auto v = cache.self_spans(layer, head, 1, rows, v_runs);
           accel::run_qk_softmax_engine(q, k, rq_logit, softmax, rows - 1,
-                                       weights, ws);
-          accel::run_sv_engine(weights, v, rq_sv, scores, ws);
+                                       attn, ws);
+          accel::run_sv_engine(attn, v, rq_sv, scores, ws);
           ws.rewind(m);
         }
         span_us.push_back(watch.microseconds());
         watch.reset();
         {
           const auto m = ws.mark();
-          auto k_gather = ws.matrix_i8(rows, dk);
-          auto v_gather = ws.matrix_i8(rows, dk);
-          cache.gather_self(layer, head, rows, k_gather, v_gather);
           auto logits = ws.matrix_i8(1, rows);
-          accel::run_qk_engine(q, k_gather, rq_logit, logits, ws);
-          softmax.run_causal_into(logits, weights_ref, rows - 1);
-          accel::run_sv_engine(weights_ref, v_gather, rq_sv, scores_ref,
-                               ws);
+          accel::run_qk_engine(q, fill, rq_logit, logits, ws);
+          softmax.run_causal_into(logits, attn_ref, rows - 1);
+          accel::run_sv_engine(attn_ref, fill, rq_sv, scores_ref, ws);
           ws.rewind(m);
         }
-        copy_us.push_back(watch.microseconds());
-        strided_identical = strided_identical &&
-                            weights == weights_ref && scores == scores_ref;
+        contiguous_us.push_back(watch.microseconds());
+        strided_identical =
+            strided_identical && attn == attn_ref && scores == scores_ref;
       }
       const double span_med = bench::median(span_us);
-      const double copy_med = bench::median(copy_us);
+      const double contiguous_med = bench::median(contiguous_us);
       identical = identical && strided_identical;
       std::printf(
           "isolated attention stage (1 head, %u cached rows, dk=%u, "
-          "median of %u reps): gather+contiguous %.1f us, block-strided "
-          "spans %.1f us (%.2fx), outputs %s\n\n",
-          rows, dk, reps, copy_med, span_med, copy_med / span_med,
+          "median of %u reps): contiguous %.1f us, block-strided spans "
+          "%.1f us, outputs %s\n\n",
+          rows, dk, reps, contiguous_med, span_med,
           strided_identical ? "IDENTICAL" : "DIVERGED");
       records.push_back(
-          {"attn_stage_T128", "gather_stage_us", copy_med, "us"});
+          {"attn_stage_T128", "contiguous_stage_us", contiguous_med, "us"});
       records.push_back(
           {"attn_stage_T128", "strided_stage_us", span_med, "us"});
-      records.push_back({"attn_stage_T128", "stage_speedup",
-                         copy_med / span_med, "x"});
     }
   }
 

@@ -29,17 +29,20 @@ int main() {
   const auto resources = hw::estimate_resources(cfg.synth);
   const auto& budget = hw::alveo_u55c().budget;
 
-  auto pct = [](uint64_t used, uint64_t total) {
-    return bench::fmt(100.0 * hw::utilization(used, total), 0) + "%";
+  // "used (pct%)", built with append: GCC 12 reports a false -Wrestrict
+  // on the inlined `const char* + std::string&&` operator.
+  auto resource_cell = [](uint64_t used, uint64_t total) {
+    std::string cell = std::to_string(used);
+    cell.append(" (");
+    cell.append(bench::fmt(100.0 * hw::utilization(used, total), 0));
+    cell.append("%)");
+    return cell;
   };
   const std::string dsp_cell =
-      std::to_string(resources.used.dsp) + " (" +
-      pct(resources.used.dsp, budget.dsp) + ")";
+      resource_cell(resources.used.dsp, budget.dsp);
   const std::string lut_cell =
-      std::to_string(resources.used.lut) + " (" +
-      pct(resources.used.lut, budget.lut) + ")";
-  const std::string ff_cell = std::to_string(resources.used.ff) + " (" +
-                              pct(resources.used.ff, budget.ff) + ")";
+      resource_cell(resources.used.lut, budget.lut);
+  const std::string ff_cell = resource_cell(resources.used.ff, budget.ff);
 
   util::Table table({"Test", "SL", "Emb", "Heads", "Layers", "Format",
                      "DSPs", "LUTs", "FFs", "Latency(ms)", "paper",
@@ -62,7 +65,9 @@ int main() {
     const double paper_gops =
         bench::paper_convention_gops(model, report.latency_ms);
 
-    table.row({"#" + std::to_string(i + 1), std::to_string(model.seq_len),
+    std::string label = "#";
+    label.append(std::to_string(i + 1));
+    table.row({label, std::to_string(model.seq_len),
                std::to_string(model.d_model),
                std::to_string(model.num_heads),
                std::to_string(model.num_layers), "8bit fixed", dsp_cell,

@@ -231,7 +231,6 @@ PerfReport estimate_decode_step_performance(const AccelConfig& config,
                                             const ref::ModelConfig& model,
                                             uint32_t pos,
                                             uint32_t memory_len,
-                                            bool kv_gather_fallback,
                                             numeric::KvStorage kv_storage) {
   config.validate();
   validate_runtime(config.synth, model);
@@ -314,22 +313,7 @@ PerfReport estimate_decode_step_performance(const AccelConfig& config,
       tc.ln_row_overhead;
   add_stage("layernorm", 3, 3 * ln_row);
 
-  // Legacy gather fallback only: every head copies its 2 x kv_len x dk
-  // cached prefix into contiguous scratch before QK/SV. Pure data
-  // movement (no engine cycles) — the block-strided default streams the
-  // block table in place and moves none of it.
-  if (kv_gather_fallback) {
-    // Quantized storage shrinks the copied bytes to the stored width
-    // (the gather decodes through the codec LUT as it stages — pure
-    // data movement either way).
-    report.stages.push_back(StageTiming{
-        .name = "self_gather",
-        .invocations = model.num_heads,
-        .compute = 0,
-        .total = 0,
-        .bytes_loaded = uint64_t{model.num_heads} *
-                        numeric::kv_storage_bytes(2 * kv_len * dk, kv_storage)});
-  } else if (kv_storage != numeric::KvStorage::kInt8) {
+  if (kv_storage != numeric::KvStorage::kInt8) {
     // Block-strided path over a quantized cache: the QK/SV pack stage
     // streams the stored codes and decodes them through the 256-entry
     // LUT in flight. Zero engine cycles (the LUT rides the existing
@@ -380,8 +364,6 @@ KvFootprint estimate_kv_footprint(const ref::ModelConfig& model,
                    model.head_dim() * model.seq_len;
   fp.blocks = util::ceil_div(rows, block_rows);
   fp.paged_bytes = uint64_t{fp.blocks} * block_rows * fp.row_bytes;
-  fp.gather_bytes_per_step = fp.row_bytes * rows;
-  fp.gather_scratch_bytes = uint64_t{2} * rows * model.head_dim();
   return fp;
 }
 
@@ -621,7 +603,7 @@ PerfReport estimate_generation_performance(const AccelConfig& config,
   uint64_t step_bytes = 0;
   for (uint32_t pos = prefill_len; pos < total_len; ++pos) {
     const PerfReport step = estimate_decode_step_performance(
-        config, model, pos, memory_len, false, costing.kv_storage);
+        config, model, pos, memory_len, costing.kv_storage);
     step_cycles += step.total_cycles;
     step_macs += step.macs;
     step_bytes += step.bytes_loaded;

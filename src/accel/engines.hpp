@@ -52,11 +52,6 @@ struct EngineStats {
   /// 0 for dense caches).
   uint64_t kv_blocks_in_use = 0;
   uint64_t kv_blocks_peak = 0;
-  /// Bytes memcpy'd out of the paged KV cache by prefix gathers (the
-  /// pre-block-strided reference path, 2 x rows x head_dim per head per
-  /// layer per step). The block-strided decode path reports 0 — pinned
-  /// in tests/test_generation.cpp.
-  uint64_t gathered_bytes = 0;
   /// Block-table runs streamed by the span-accepting QK/SV engines (one
   /// per contiguous run per engine call; grows as block_rows shrinks).
   uint64_t span_runs = 0;
@@ -122,9 +117,11 @@ void run_qk_engine(const tensor::MatrixI8& q, const tensor::MatrixI8& k,
 class SoftmaxUnit;
 
 /// Algorithm 2 over a block-strided K operand: `k` is a RowSpanListI8
-/// walking a paged KV block table in place (tensor/qgemm span packing),
-/// so the decode path pays no gather copy. Bit-identical to gathering
-/// first — int32 accumulation is exact and packing order is immaterial.
+/// walking a paged KV block table in place (tensor/qgemm span packing;
+/// quantized rows decode in the pack stage), so the decode path copies
+/// no prefix. Bit-identical to the contiguous engine over the same
+/// decoded rows — int32 accumulation is exact and packing order is
+/// immaterial.
 void run_qk_engine(tensor::ConstMatrixViewI8 q,
                    const tensor::RowSpanListI8& k,
                    const numeric::RequantParams& rq_logit,

@@ -153,7 +153,7 @@ KvCodec build_codec(KvStorage storage) {
   }
   // Canonicalize zero: small negative values encode to -0, which reads
   // back 0 and would RE-encode as +0 — a byte-level instability under
-  // gather -> re-scatter. Storing +0 for every value that rounds to
+  // read-back -> re-store. Storing +0 for every value that rounds to
   // zero makes encode(decode(encode(q))) == encode(q) exhaustively.
   const uint8_t mag_mask = storage == KvStorage::kFp4E2M1 ? 0x07 : 0x7f;
   for (int i = 0; i < 256; ++i) {

@@ -99,7 +99,7 @@ struct KvCodec {
   /// Stored code for int8 value q, indexed by q + 128 (a full byte for
   /// the fp8 formats, a nibble 0..15 for fp4). Values that round to
   /// zero store canonical +0, so the stored byte is stable under
-  /// decode -> re-encode (gather then re-scatter changes nothing).
+  /// decode -> re-encode (re-storing a read-back row changes nothing).
   std::array<uint8_t, 256> encode{};
   /// int8 value a stored code reads back as: clamp(rne(value * scale))
   /// into [-128, 127]. fp8 indexes with the stored byte (NaN codes

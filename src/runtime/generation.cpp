@@ -69,8 +69,7 @@ void GenerationSession::run_rows(const tensor::MatrixF& rows,
                            .ts_ffn = config_->synth.ts_ffn,
                            .activation = cfg.activation,
                            .stats = stats,
-                           .gemm_pool = tensor::qgemm_default_pool(),
-                           .kv_gather_fallback = options_.kv_gather_fallback};
+                           .gemm_pool = tensor::qgemm_default_pool()};
 
   double out_scale = model_->layers.front().scales.x;
   for (size_t li = 0; li < model_->layers.size(); ++li) {

@@ -61,16 +61,11 @@ struct GenerationOptions {
   /// prefill() runs the prompt in passes of at most this many rows
   /// (0 = one pass). Outputs are bit-identical for any chunk size.
   size_t prefill_chunk = 0;
-  /// Paged caches only: route cached self-attention through the legacy
-  /// gather path (copy the prefix into contiguous workspace views) instead
-  /// of the block-strided span engines. Bit-identical to the default;
-  /// kept as the measured-against reference and surfaces its copy volume
-  /// via EngineStats::gathered_bytes.
-  bool kv_gather_fallback = false;
   /// Self-K/V storage format (numeric/fp8.hpp): int8 verbatim (the
   /// bit-exact reference), fp8 re-encoded per element with dequant fused
   /// into the span pack stage, or packed fp4 at half the block bytes
-  /// (gather reads; head_dim must be even). Deterministic for any
+  /// (both nibbles decoded in the same pack stage; head_dim must be
+  /// even). Deterministic for any
   /// format — decode output depends only on the storage choice, not on
   /// paging/fork/swap/adoption history. A shared kv_pool must be
   /// configured for the matching row width (see

@@ -826,23 +826,6 @@ void encode_row(const numeric::KvCodec& codec, const int8_t* src,
   }
 }
 
-/// Decodes one stored row back to int8 (the inverse read of encode_row).
-void decode_row(const numeric::KvCodec& codec, const int8_t* src,
-                size_t head_dim, int8_t* dst) {
-  const int8_t* dec = codec.decode.data();
-  if (codec.storage == numeric::KvStorage::kFp4E2M1) {
-    for (size_t j = 0; j < head_dim; j += 2) {
-      const auto byte = static_cast<uint8_t>(src[j / 2]);
-      dst[j] = dec[byte & 0x0f];
-      dst[j + 1] = dec[byte >> 4];
-    }
-  } else {
-    for (size_t j = 0; j < head_dim; ++j) {
-      dst[j] = dec[static_cast<uint8_t>(src[j])];
-    }
-  }
-}
-
 }  // namespace
 
 void KvCache::storage_roundtrip(tensor::MatrixViewI8 rows) const {
@@ -891,37 +874,6 @@ void KvCache::scatter_self(size_t layer, size_t head, size_t pos,
   }
 }
 
-void KvCache::gather_self(size_t layer, size_t head, size_t rows,
-                          tensor::MatrixViewI8 k_dst,
-                          tensor::MatrixViewI8 v_dst) const {
-  if (!paged()) {
-    throw std::logic_error("KvCache::gather_self: dense layout");
-  }
-  if (layer >= layers_.size() || head >= num_heads_ ||
-      k_dst.rows() != rows || v_dst.rows() != rows ||
-      k_dst.cols() != head_dim_ || v_dst.cols() != head_dim_) {
-    throw std::invalid_argument("KvCache::gather_self: bad shape");
-  }
-  if (rows > reserved_rows()) {
-    throw std::logic_error("KvCache::gather_self: rows not reserved");
-  }
-  if (codec_ != nullptr) {
-    for (size_t r = 0; r < rows; ++r) {
-      decode_row(*codec_, self_row_ptr(r, layer, head, 0), head_dim_,
-                 k_dst.row(r).data());
-      decode_row(*codec_, self_row_ptr(r, layer, head, 1), head_dim_,
-                 v_dst.row(r).data());
-    }
-    return;
-  }
-  for (size_t r = 0; r < rows; ++r) {
-    std::memcpy(k_dst.row(r).data(), self_row_ptr(r, layer, head, 0),
-                head_dim_);
-    std::memcpy(v_dst.row(r).data(), self_row_ptr(r, layer, head, 1),
-                head_dim_);
-  }
-}
-
 tensor::RowSpanListI8 KvCache::self_spans(
     size_t layer, size_t head, size_t which, size_t rows,
     std::span<tensor::RowSpanI8> runs) const {
@@ -933,11 +885,6 @@ tensor::RowSpanListI8 KvCache::self_spans(
   }
   if (rows > reserved_rows()) {
     throw std::logic_error("KvCache::self_spans: rows not reserved");
-  }
-  if (!span_readable()) {
-    throw std::logic_error(
-        "KvCache::self_spans: packed fp4 rows are not span-readable "
-        "(use gather_self)");
   }
   const size_t stride = row_bytes();
   size_t count = 0;
@@ -962,9 +909,10 @@ tensor::RowSpanListI8 KvCache::self_spans(
           .rows = rows,
           .cols = head_dim_,
           .row_stride = stride,
-          // fp8 rows carry their dequant table: the GEMM pack stage
-          // decodes the stored codes while packing (fused dequant).
-          .decode = codec_ != nullptr ? codec_->decode.data() : nullptr};
+          // Quantized rows carry their dequant table: the GEMM pack
+          // stage decodes the stored codes while packing (fused dequant).
+          .decode = codec_ != nullptr ? codec_->decode.data() : nullptr,
+          .nibbles = storage_ == numeric::KvStorage::kFp4E2M1};
 }
 
 size_t KvCache::max_self_span_runs(size_t rows) const {

@@ -386,11 +386,10 @@ struct KvCacheOptions {
   /// row_bytes is unchanged; the read side fuses the dequant table into
   /// the GEMM pack stage via RowSpanListI8::decode). fp4 e2m1 packs TWO
   /// elements per byte — head_dim must be even — halving row_bytes and
-  /// block_bytes; its rows are not span-readable, so attention reads go
-  /// through gather_self (the runtime falls back automatically). All
-  /// non-int8 paths are deterministic: the stored code is a pure table
-  /// function of the int8 value and reads back identically on every
-  /// access (see KvCodec).
+  /// block_bytes; its spans decode both nibbles of each byte in the same
+  /// pack stage (RowSpanListI8::nibbles). All non-int8 paths are
+  /// deterministic: the stored code is a pure table function of the int8
+  /// value and reads back identically on every access (see KvCodec).
   numeric::KvStorage storage = numeric::KvStorage::kInt8;
 };
 
@@ -428,19 +427,6 @@ class KvCache {
   size_t block_rows() const { return block_rows_; }
   /// Self-K/V storage format (KvCacheOptions::storage).
   numeric::KvStorage storage() const { return storage_; }
-  /// True when stored rows can be read in place through self_spans():
-  /// int8 and the byte-wide fp8 formats qualify; packed fp4 does not
-  /// (two elements per byte — reads must decode through gather_self).
-  bool span_readable() const {
-    return storage_ != numeric::KvStorage::kFp4E2M1;
-  }
-  /// Pool-side bytes held by `elems` cached elements under this cache's
-  /// storage format (identity for the byte-wide formats, halved for
-  /// fp4) — the conversion executed byte counters apply so they match
-  /// the storage-aware estimators.
-  size_t storage_bytes(size_t elems) const {
-    return numeric::kv_storage_bytes(elems, storage_);
-  }
   /// Applies the storage round-trip (encode then decode) to `rows` in
   /// place — what the DENSE layout does after appending rows, so a
   /// dense sequence sees exactly the values a paged sequence reads back
@@ -539,15 +525,6 @@ class KvCache {
   /// copy), so a fork never scribbles on its siblings' prefix.
   void scatter_self(size_t layer, size_t head, size_t pos,
                     tensor::ConstMatrixViewI8 k, tensor::ConstMatrixViewI8 v);
-  /// Copies rows [0, rows) of (layer, head) K and V into the contiguous
-  /// (rows x head_dim) views `k_dst` / `v_dst` (paged mode only),
-  /// decoding stored codes back to int8 for non-int8 storage. Kept as
-  /// the bit-exact reference for the gather-free span path below, and
-  /// the only read path for packed fp4 rows.
-  void gather_self(size_t layer, size_t head, size_t rows,
-                   tensor::MatrixViewI8 k_dst,
-                   tensor::MatrixViewI8 v_dst) const;
-
   /// Block-strided read view of rows [0, rows) of (layer, head) self K
   /// (`which` = 0) or V (1): fills `runs` with (base, rows) runs walking
   /// the block table directly — adjacent pool blocks merge into one run —
@@ -558,11 +535,10 @@ class KvCache {
   /// prefix while scatter_self's write-triggered copies keep divergent
   /// appends out of it — the spans a sequence takes always resolve
   /// through its OWN table, never a sibling's post-divergence writes.
-  /// For fp8 storage the returned list carries the codec's dequant
-  /// table (RowSpanListI8::decode) — the GEMM pack stage decodes the
-  /// stored bytes while packing, so the consumer never sees codes.
-  /// Packed fp4 rows are not span-readable (throws std::logic_error;
-  /// check span_readable() and fall back to gather_self).
+  /// For quantized storage the returned list carries the codec's dequant
+  /// table (RowSpanListI8::decode, plus RowSpanListI8::nibbles for packed
+  /// fp4) — the GEMM pack stage decodes the stored bytes while packing,
+  /// so the consumer never sees codes.
   tensor::RowSpanListI8 self_spans(size_t layer, size_t head, size_t which,
                                    size_t rows,
                                    std::span<tensor::RowSpanI8> runs) const;

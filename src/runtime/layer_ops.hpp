@@ -106,13 +106,6 @@ struct LayerOpContext {
   ref::Activation activation = ref::Activation::kRelu;
   accel::EngineStats* stats = nullptr;
   util::ThreadPool* gemm_pool = nullptr;  // optional intra-op threading
-  /// Paged self-attention streams the cached prefix through block-table
-  /// spans (gather-free, the default). true restores the
-  /// gather-into-scratch reference path — bit-identical, O(prefix bytes)
-  /// of extra memcpy per head per layer per step, counted in
-  /// EngineStats::gathered_bytes (the decode-latency bench runs both
-  /// modes in one process for the before/after record).
-  bool kv_gather_fallback = false;
 };
 
 /// One descriptor for all three attention shapes. Exactly one of
@@ -235,15 +228,15 @@ AttentionBlockDesc decoder_cross_attention_desc(
 // panels straight from block storage, and the fused
 // dequant→softmax→requant pass consumes the QK accumulator tile directly
 // — no gather copy, no total x head_dim scratch, no materialized logits
-// matrix. (ctx.kv_gather_fallback restores the gather-into-scratch
-// reference path.) The scatter respects copy-on-write forking
+// matrix. Quantized storage (fp8 bytes, packed fp4 nibbles) decodes in
+// that same pack stage. The scatter respects copy-on-write forking
 // (KvCache::fork_from): writing into a block still shared with a forked
 // sibling first copies it, so divergent appends never corrupt the shared
 // prompt prefix — and because reads never privatize, the span path is
 // COW-safe by construction. int32 accumulation is exact, every op is
 // row-wise, packing order is immaterial and scatter is a byte copy, so
-// BOTH layouts — block-strided or gathered, and COW-forked caches — are
-// bit-identical to the full-recompute path, pinned by
+// BOTH layouts — dense and block-strided, COW-forked caches included —
+// are bit-identical to the full-recompute path, pinned by
 // tests/test_generation.cpp, tests/test_kv_paging.cpp and
 // tests/test_kv_cow.cpp.
 

@@ -167,16 +167,35 @@ inline void pack_bt_block_spans(const RowSpanListI8& bt, size_t k0,
   }
 }
 
-/// pack_b_block_spans with a fused 256-entry dequant table: the spanned
-/// bytes are stored codes (fp8 KV rows) and become int8 values during
-/// the one pass that already touches each byte — the micro-kernel and
-/// everything downstream see plain int8, so the quantized-storage GEMM
-/// is the int8 GEMM with a table lookup folded into packing. Zero
-/// padding stays literal 0: padded lanes are synthesized in the DECODED
-/// domain, exactly like the int8 pack.
-inline void pack_b_block_spans_lut(const RowSpanListI8& b, size_t k0,
-                                   size_t kc, size_t n, const int8_t* lut,
-                                   int8_t* dst) {
+/// Element readers for the fused-dequant span packs: read(row, j) is
+/// logical element j of a stored row, decoded through the 256-entry
+/// table. ByteCodeRead takes one code per byte (fp8 KV rows);
+/// NibbleCodeRead two per byte (packed fp4, low nibble = even element).
+/// j is the absolute element index, so a K block may start anywhere.
+struct ByteCodeRead {
+  const int8_t* lut;
+  int8_t operator()(const int8_t* row, size_t j) const {
+    return lut[static_cast<uint8_t>(row[j])];
+  }
+};
+struct NibbleCodeRead {
+  const int8_t* lut;
+  int8_t operator()(const int8_t* row, size_t j) const {
+    const auto byte = static_cast<uint8_t>(row[j / 2]);
+    return lut[j % 2 == 0 ? byte & 0x0f : byte >> 4];
+  }
+};
+
+/// pack_b_block_spans with a fused dequant: the spanned bytes are stored
+/// codes and become int8 values (through `read`) during the one pass
+/// that already touches each byte — the micro-kernel and everything
+/// downstream see plain int8, so the quantized-storage GEMM is the int8
+/// GEMM with a table lookup folded into packing. Zero padding stays
+/// literal 0: padded lanes are synthesized in the DECODED domain,
+/// exactly like the int8 pack.
+template <typename Read>
+void pack_b_block_spans_lut(const RowSpanListI8& b, size_t k0, size_t kc,
+                            size_t n, Read read, int8_t* dst) {
   const size_t col_panels = util::ceil_div(n, kGemmNr);
   SpanRowCursor cur = span_row_cursor(b, k0);
   for (size_t p = 0; p < kc; ++p) {
@@ -185,19 +204,17 @@ inline void pack_b_block_spans_lut(const RowSpanListI8& b, size_t k0,
       const size_t j0 = cp * kGemmNr;
       const size_t w = std::min(kGemmNr, n - j0);
       int8_t* panel_row = dst + cp * kc * kGemmNr + p * kGemmNr;
-      for (size_t j = 0; j < w; ++j) {
-        panel_row[j] = lut[static_cast<uint8_t>(src[j0 + j])];
-      }
+      for (size_t j = 0; j < w; ++j) panel_row[j] = read(src, j0 + j);
       for (size_t j = w; j < kGemmNr; ++j) panel_row[j] = 0;
     }
     cur.advance();
   }
 }
 
-/// pack_bt_block_spans with the same fused dequant table.
-inline void pack_bt_block_spans_lut(const RowSpanListI8& bt, size_t k0,
-                                    size_t kc, size_t n, const int8_t* lut,
-                                    int8_t* dst) {
+/// pack_bt_block_spans with the same fused dequant.
+template <typename Read>
+void pack_bt_block_spans_lut(const RowSpanListI8& bt, size_t k0, size_t kc,
+                             size_t n, Read read, int8_t* dst) {
   const size_t col_panels = util::ceil_div(n, kGemmNr);
   SpanRowCursor cur = span_row_cursor(bt, 0);
   for (size_t cp = 0; cp < col_panels; ++cp) {
@@ -205,9 +222,9 @@ inline void pack_bt_block_spans_lut(const RowSpanListI8& bt, size_t k0,
     const size_t w = std::min(kGemmNr, n - j0);
     int8_t* panel = dst + cp * kc * kGemmNr;
     for (size_t j = 0; j < w; ++j) {
-      const int8_t* src = cur.row(bt.row_stride) + k0;
+      const int8_t* src = cur.row(bt.row_stride);
       for (size_t p = 0; p < kc; ++p) {
-        panel[p * kGemmNr + j] = lut[static_cast<uint8_t>(src[p])];
+        panel[p * kGemmNr + j] = read(src, k0 + p);
       }
       cur.advance();
     }

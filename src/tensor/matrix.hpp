@@ -176,20 +176,28 @@ struct RowSpanI8 {
 
 /// A logical (rows x cols) int8 matrix stored as a sequence of row runs —
 /// the read view a paged KV block table exposes without gathering into
-/// contiguous scratch. Each row is `cols` contiguous elements; consecutive
-/// rows within a run are `row_stride` elements apart (>= cols, so rows of
-/// a wider record — e.g. a pooled KV token row — can be viewed in place).
+/// contiguous scratch. Each row is `cols` logical elements stored in
+/// row_bytes() contiguous bytes; consecutive rows within a run are
+/// `row_stride` BYTES apart (>= row_bytes(), so rows of a wider record —
+/// e.g. a pooled KV token row — can be viewed in place).
 struct RowSpanListI8 {
   std::span<const RowSpanI8> runs;
   size_t rows = 0;        // total rows across all runs
-  size_t cols = 0;        // elements per row
-  size_t row_stride = 0;  // elements between consecutive rows in a run
+  size_t cols = 0;        // logical elements per row
+  size_t row_stride = 0;  // bytes between consecutive rows in a run
   /// Optional 256-entry dequant table: when set, the spanned bytes are
   /// stored codes (e.g. fp8) and every element reads as
-  /// `decode[uint8_t(byte)]`. The GEMM pack stage applies it while
-  /// packing, fusing dequant into the one pass that already touches
-  /// each byte; nullptr means the bytes ARE int8 values.
+  /// `decode[code]`. The GEMM pack stage applies it while packing,
+  /// fusing dequant into the one pass that already touches each byte;
+  /// nullptr means the bytes ARE int8 values.
   const int8_t* decode = nullptr;
+  /// True when each byte holds TWO 4-bit codes (packed fp4: low nibble =
+  /// even element, high nibble = odd element), each read through
+  /// `decode`. Requires `decode`.
+  bool nibbles = false;
+
+  /// Stored bytes of one row.
+  size_t row_bytes() const { return nibbles ? (cols + 1) / 2 : cols; }
 };
 
 /// Deep copy of a view into a fresh owning Matrix (trace capture).

@@ -67,9 +67,24 @@ void check_span_list(const RowSpanListI8& list, const char* name) {
     throw std::invalid_argument(std::string(name) +
                                 ": span run rows do not sum to rows");
   }
-  if (list.rows > 0 && list.row_stride < list.cols) {
+  if (list.nibbles && list.decode == nullptr) {
     throw std::invalid_argument(std::string(name) +
-                                ": span row stride below row width");
+                                ": nibble-packed spans need a decode table");
+  }
+  if (list.rows > 0 && list.row_stride < list.row_bytes()) {
+    throw std::invalid_argument(std::string(name) +
+                                ": span row stride below stored row width");
+  }
+}
+
+/// Calls `pack` with the element reader for a decoded span list's code
+/// layout (one code per byte, or two nibbles per byte).
+template <typename Pack>
+void with_code_reader(const RowSpanListI8& list, const Pack& pack) {
+  if (list.nibbles) {
+    pack(detail::NibbleCodeRead{list.decode});
+  } else {
+    pack(detail::ByteCodeRead{list.decode});
   }
 }
 
@@ -104,7 +119,9 @@ void qgemm_spans_into(ConstMatrixViewI8 a, const RowSpanListI8& b,
       a.data(), a.rows(), a.cols(), b.cols, c.data(), pack_buf.data(), pool,
       [&](size_t k0, size_t kc, int8_t* dst) {
         if (b.decode != nullptr) {
-          detail::pack_b_block_spans_lut(b, k0, kc, b.cols, b.decode, dst);
+          with_code_reader(b, [&](auto read) {
+            detail::pack_b_block_spans_lut(b, k0, kc, b.cols, read, dst);
+          });
         } else {
           detail::pack_b_block_spans(b, k0, kc, b.cols, dst);
         }
@@ -120,8 +137,9 @@ void qgemm_bt_spans_into(ConstMatrixViewI8 a, const RowSpanListI8& bt,
       a.data(), a.rows(), a.cols(), bt.rows, c.data(), pack_buf.data(), pool,
       [&](size_t k0, size_t kc, int8_t* dst) {
         if (bt.decode != nullptr) {
-          detail::pack_bt_block_spans_lut(bt, k0, kc, bt.rows, bt.decode,
-                                          dst);
+          with_code_reader(bt, [&](auto read) {
+            detail::pack_bt_block_spans_lut(bt, k0, kc, bt.rows, read, dst);
+          });
         } else {
           detail::pack_bt_block_spans(bt, k0, kc, bt.rows, dst);
         }

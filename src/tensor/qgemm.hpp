@@ -79,8 +79,9 @@ void qgemm_bt_spans_into(ConstMatrixViewI8 a, const RowSpanListI8& bt,
 /// int16/int32 widening, so the result is bit-identical to decoding B
 /// into an int8 matrix first and running qgemm_into on it — the fused
 /// path just never materializes the decoded matrix. The span variants
-/// above dispatch to the same fused packs when RowSpanListI8::decode is
-/// set.
+/// above fuse the same decode into their packs when RowSpanListI8::decode
+/// is set — one code per byte, or two packed fp4 nibbles per byte when
+/// RowSpanListI8::nibbles is set.
 void qgemm_lut_into(ConstMatrixViewI8 a, ConstMatrixViewI8 b,
                     const int8_t* lut, MatrixViewI32 c,
                     std::span<int8_t> pack_buf,

@@ -35,7 +35,7 @@ constexpr RefFormat kRefE4M3{3, 7, false, true, 8};
 constexpr RefFormat kRefE5M2{2, 15, true, false, 8};
 constexpr RefFormat kRefE2M1{1, 1, false, false, 4};
 
-enum class RefClass { kFinite, kInf, kNaN };
+enum class RefClass { kFinite, kInfinite, kNotANumber };
 
 /// Textbook decode: value = (-1)^s * m * 2^(e-bias-mant_bits) with
 /// m = mantissa (exp field 0) or 2^mant_bits + mantissa (normal).
@@ -48,11 +48,11 @@ double ref_decode(unsigned code, const RefFormat& f, RefClass& cls) {
   const int e_max = (1 << exp_bits) - 1;
   cls = RefClass::kFinite;
   if (f.has_inf && exp_field == e_max) {
-    cls = mant == 0 ? RefClass::kInf : RefClass::kNaN;
+    cls = mant == 0 ? RefClass::kInfinite : RefClass::kNotANumber;
     return sign != 0 ? -1.0 : 1.0;  // sign carrier for inf
   }
   if (f.top_nan && exp_field == e_max && mant == (1 << m) - 1) {
-    cls = RefClass::kNaN;
+    cls = RefClass::kNotANumber;
     return 0.0;
   }
   double v;
@@ -116,7 +116,7 @@ TEST(Fp8Exhaustive, E4M3DecodeMatchesReference) {
     RefClass cls;
     const double ref = ref_decode(c, kRefE4M3, cls);
     const float got = fp8_decode(static_cast<uint8_t>(c), Fp8Format::kE4M3);
-    if (cls == RefClass::kNaN) {
+    if (cls == RefClass::kNotANumber) {
       EXPECT_TRUE(std::isnan(got)) << "code " << c;
     } else {
       ASSERT_EQ(cls, RefClass::kFinite);
@@ -135,10 +135,10 @@ TEST(Fp8Exhaustive, E5M2DecodeMatchesReference) {
     const double ref = ref_decode(c, kRefE5M2, cls);
     const float got = fp8_decode(static_cast<uint8_t>(c), Fp8Format::kE5M2);
     switch (cls) {
-      case RefClass::kNaN:
+      case RefClass::kNotANumber:
         EXPECT_TRUE(std::isnan(got)) << "code " << c;
         break;
-      case RefClass::kInf:
+      case RefClass::kInfinite:
         EXPECT_TRUE(std::isinf(got)) << "code " << c;
         EXPECT_EQ(std::signbit(got), ref < 0) << "code " << c;
         break;

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "accel/decoder_model.hpp"
+#include "numeric/fp8.hpp"
 #include "ref/weights.hpp"
 #include "runtime/generation.hpp"
 #include "runtime/kv_cache.hpp"
@@ -115,7 +116,8 @@ TEST(KvCache, LayoutGuards) {
   EXPECT_TRUE(dense.try_reserve_rows(4));  // dense always covers capacity
   tensor::MatrixI8 rows(2, 8);
   EXPECT_THROW(dense.scatter_self(0, 0, 0, rows, rows), std::logic_error);
-  EXPECT_THROW(dense.gather_self(0, 0, 2, rows, rows), std::logic_error);
+  std::vector<tensor::RowSpanI8> runs(4);
+  EXPECT_THROW(dense.self_spans(0, 0, 0, 2, runs), std::logic_error);
 
   // A dense cache cannot take a pool, and a paged cache rejects a pool
   // whose row geometry does not match the stack.
@@ -135,7 +137,8 @@ TEST(KvCache, LayoutGuards) {
 // --- paged == dense bit-identity (the tentpole invariant) -------------------
 
 /// Runs prefill(T rows) + decode-to-capacity on a dense and a paged
-/// session and asserts every emitted state matches bit for bit.
+/// session and asserts every emitted state matches bit for bit, with the
+/// paged session reading its prefix block-strided (span runs streamed).
 void expect_paged_matches_dense(const PagingFixture& fx, size_t t_rows,
                                 size_t block_rows, uint64_t seed) {
   const auto prefix = random_input(t_rows, fx.cfg.d_model, seed);
@@ -146,9 +149,10 @@ void expect_paged_matches_dense(const PagingFixture& fx, size_t t_rows,
   dense_opts.kv_block_rows = 0;  // PR-3 dense layout
   runtime::GenerationSession dense(fx.acfg, fx.qd, nullptr, dense_opts);
 
+  accel::EngineStats paged_stats;
   runtime::GenerationOptions paged_opts;
   paged_opts.kv_block_rows = block_rows;
-  runtime::GenerationSession paged(fx.acfg, fx.qd, nullptr, paged_opts);
+  runtime::GenerationSession paged(fx.acfg, fx.qd, &paged_stats, paged_opts);
   ASSERT_TRUE(paged.cache().paged());
 
   tensor::MatrixF dense_states, paged_states;
@@ -168,6 +172,7 @@ void expect_paged_matches_dense(const PagingFixture& fx, size_t t_rows,
   // The paged session held exactly ceil(rows / bs) blocks at the end.
   EXPECT_EQ(paged.cache().block_table().size(),
             (fx.cfg.seq_len + block_rows - 1) / block_rows);
+  EXPECT_GT(paged_stats.span_runs, 0u);
 }
 
 TEST(KvPaging, BoundaryStraddlingTriplesAreBitIdentical) {
@@ -317,73 +322,24 @@ TEST(KvPaging, BlockReuseAfterReleaseIsBitIdentical) {
   EXPECT_EQ(reused, fresh);
 }
 
-// --- block-strided span path vs gather fallback -----------------------------
+// --- block-strided span path ------------------------------------------------
 
-/// Three-way bit-identity at one (T, block_rows) shape: dense reference,
-/// paged block-strided (the default decode path: QK/SV stream the block
-/// table via span lists, softmax fused on the i32 accumulator), and the
-/// paged gather fallback (kv_gather_fallback: legacy copy-out into
-/// contiguous scratch). All three must agree bit for bit at every step,
-/// and only the fallback may move gather bytes.
-void expect_strided_matches_gather(const PagingFixture& fx, size_t t_rows,
-                                   size_t block_rows, uint64_t seed) {
-  const auto prefix = random_input(t_rows, fx.cfg.d_model, seed);
-  const auto tokens =
-      random_input(fx.cfg.seq_len, fx.cfg.d_model, seed + 1);
-
-  runtime::GenerationOptions dense_opts;
-  dense_opts.kv_block_rows = 0;
-  runtime::GenerationSession dense(fx.acfg, fx.qd, nullptr, dense_opts);
-
-  accel::EngineStats strided_stats, gather_stats;
-  runtime::GenerationOptions strided_opts;
-  strided_opts.kv_block_rows = block_rows;
-  runtime::GenerationSession strided(fx.acfg, fx.qd, &strided_stats,
-                                     strided_opts);
-
-  runtime::GenerationOptions gather_opts = strided_opts;
-  gather_opts.kv_gather_fallback = true;
-  runtime::GenerationSession gather(fx.acfg, fx.qd, &gather_stats,
-                                    gather_opts);
-
-  tensor::MatrixF ds, ss, gs;
-  dense.prefill(prefix, fx.memory, ds);
-  strided.prefill(prefix, fx.memory, ss);
-  gather.prefill(prefix, fx.memory, gs);
-  ASSERT_EQ(ss, ds) << "strided prefill T=" << t_rows << " bs=" << block_rows;
-  ASSERT_EQ(gs, ds) << "gather prefill T=" << t_rows << " bs=" << block_rows;
-
-  for (size_t t = t_rows; t < fx.cfg.seq_len; ++t) {
-    const auto token = tokens.slice_rows(t, 1);
-    dense.decode_step(token, ds);
-    strided.decode_step(token, ss);
-    gather.decode_step(token, gs);
-    ASSERT_EQ(ss, ds) << "strided pos " << t << " bs=" << block_rows;
-    ASSERT_EQ(gs, ds) << "gather pos " << t << " bs=" << block_rows;
-  }
-  // The span path never copies the prefix; the fallback always does.
-  EXPECT_EQ(strided_stats.gathered_bytes, 0u);
-  EXPECT_GT(strided_stats.span_runs, 0u);
-  EXPECT_GT(gather_stats.gathered_bytes, 0u);
-  EXPECT_EQ(gather_stats.span_runs, 0u);
-}
-
-TEST(KvPaging, BlockStridedMatchesGatherFallbackAcrossBlockSizes) {
+TEST(KvPaging, BlockStridedMatchesDenseAcrossBlockSizes) {
   // block_rows 1 (every row its own run), 3 (straddles everywhere: 8 and
   // 13 are not multiples of 3) and 16 (one run covering the whole
   // capacity), with prompts ending on, before and past block boundaries.
   {
     PagingFixture fx(8, 270);
-    expect_strided_matches_gather(fx, 5, 1, 600);
-    expect_strided_matches_gather(fx, 3, 3, 601);   // prompt == boundary
-    expect_strided_matches_gather(fx, 4, 3, 602);   // one past it
-    expect_strided_matches_gather(fx, 2, 3, 603);   // one before it
-    expect_strided_matches_gather(fx, 5, 16, 604);  // block > capacity
+    expect_paged_matches_dense(fx, 5, 1, 600);
+    expect_paged_matches_dense(fx, 3, 3, 601);   // prompt == boundary
+    expect_paged_matches_dense(fx, 4, 3, 602);   // one past it
+    expect_paged_matches_dense(fx, 2, 3, 603);   // one before it
+    expect_paged_matches_dense(fx, 5, 16, 604);  // block > capacity
   }
   {
     PagingFixture fx(13, 271);
-    expect_strided_matches_gather(fx, 7, 3, 605);
-    expect_strided_matches_gather(fx, 13, 3, 606);  // prompt fills capacity
+    expect_paged_matches_dense(fx, 7, 3, 605);
+    expect_paged_matches_dense(fx, 13, 3, 606);  // prompt fills capacity
   }
 }
 
@@ -392,21 +348,25 @@ TEST(KvPaging, ForkedTablesMidDivergenceReadOwnSpans) {
   // sibling's span lists must resolve through ITS block table — after
   // divergence the straddling block is privatized by the first write, so
   // the child must never observe the parent's post-fork rows (and vice
-  // versa). Both lineages are checked against fresh solo replays, on the
-  // strided path and the gather fallback alike.
+  // versa). Both lineages are checked against fresh dense solo replays,
+  // over int8 rows and over packed fp4 rows (two nibbles per byte, so a
+  // COW-copied straddling block carries half-rows of codes).
   PagingFixture fx(14, 280);
   for (const size_t block_rows : {size_t{1}, size_t{3}}) {
-    for (const bool fallback : {false, true}) {
+    for (const numeric::KvStorage storage :
+         {numeric::KvStorage::kInt8, numeric::KvStorage::kFp4E2M1}) {
       runtime::KvBlockPool pool;
       pool.configure(/*blocks=*/32, block_rows,
                      fx.cfg.num_layers * fx.cfg.num_heads * 2 *
-                         fx.cfg.head_dim());
+                         numeric::kv_storage_bytes(fx.cfg.head_dim(),
+                                                   storage));
+      accel::EngineStats stats;
       runtime::GenerationOptions opts;
       opts.kv_block_rows = block_rows;
       opts.kv_pool = &pool;
-      opts.kv_gather_fallback = fallback;
-      runtime::GenerationSession parent(fx.acfg, fx.qd, nullptr, opts);
-      runtime::GenerationSession child(fx.acfg, fx.qd, nullptr, opts);
+      opts.kv_storage = storage;
+      runtime::GenerationSession parent(fx.acfg, fx.qd, &stats, opts);
+      runtime::GenerationSession child(fx.acfg, fx.qd, &stats, opts);
 
       const auto prompt = random_input(4, fx.cfg.d_model, 281);
       const auto shared_tok = random_input(3, fx.cfg.d_model, 282);
@@ -432,8 +392,13 @@ TEST(KvPaging, ForkedTablesMidDivergenceReadOwnSpans) {
         child_states.push_back(cs);
       }
 
-      // Solo replays of each full lineage are the ground truth.
-      runtime::GenerationSession solo(fx.acfg, fx.qd);
+      EXPECT_GT(stats.span_runs, 0u);
+
+      // Dense solo replays of each full lineage are the ground truth.
+      runtime::GenerationOptions solo_opts;
+      solo_opts.kv_block_rows = 0;
+      solo_opts.kv_storage = storage;
+      runtime::GenerationSession solo(fx.acfg, fx.qd, nullptr, solo_opts);
       for (const bool is_child : {false, true}) {
         solo.prefill(prompt, fx.memory, states);
         for (size_t t = 0; t < 3; ++t) {
@@ -445,7 +410,8 @@ TEST(KvPaging, ForkedTablesMidDivergenceReadOwnSpans) {
           solo.decode_step(tok.slice_rows(t, 1), rs);
           EXPECT_EQ(got[t], rs)
               << (is_child ? "child" : "parent") << " pos " << t
-              << " bs=" << block_rows << " fallback=" << fallback;
+              << " bs=" << block_rows << " "
+              << numeric::kv_storage_name(storage);
         }
       }
       parent.end_sequence();

@@ -3,19 +3,21 @@
 //   * byte-width regression sweep — every estimator that reports KV bytes
 //     (estimate_kv_footprint, estimate_forked_kv_footprint,
 //     estimate_preemption_cost, estimate_prefix_cache_savings, the
-//     decode-step perf model's gather/dequant traffic) must match the
+//     decode-step perf model's dequant traffic) must match the
 //     bytes the runtime actually allocates and moves, for int8 AND every
 //     quantized format — the "1 byte/element" assumptions this PR removed
 //     can never silently come back;
-//   * determinism of quantized paged decode: paged == dense, strided ==
-//     gather, byte-exact across COW forks, swap round trips, prefix
+//   * determinism of quantized paged decode: paged (block-strided spans,
+//     decoded in the GEMM pack stage) == dense, byte-exact across COW
+//     forks, swap round trips, prefix
 //     adoption and repeat runs — decode output depends only on the
 //     storage choice, never on paging history;
 //   * the mixed-format guards: a pool serving int8 and fp8 sequences has
 //     IDENTICAL row widths for both, so adoption/forking across formats
 //     must be refused by contract, not caught by geometry;
-//   * fused LUT GEMM == decode-then-int8-GEMM, the identity the span
-//     pack stage's dequant fusion rests on.
+//   * fused LUT GEMM == decode-then-int8-GEMM, byte codes and packed fp4
+//     nibbles alike — the identity the span pack stage's dequant fusion
+//     rests on.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -114,57 +116,24 @@ TEST(KvStorageBytes, FootprintRowBytesMatchPoolGeometry) {
             fx.row_bytes(KvStorage::kInt8) / 2);
 }
 
-TEST(KvStorageBytes, ExecutedGatherBytesMatchEstimators) {
-  // The gather fallback's executed EngineStats::gathered_bytes must equal
-  // both byte models — KvFootprint::gather_bytes_per_step and the decode
-  // step report's self_gather stage — per step, per format.
-  Fixture fx(10);
-  const uint32_t br = 3;
-  for (const KvStorage s : kAllStorages) {
-    SCOPED_TRACE(numeric::kv_storage_name(s));
-    accel::EngineStats stats;
-    runtime::GenerationOptions opts;
-    opts.kv_block_rows = br;
-    opts.kv_gather_fallback = true;
-    opts.kv_storage = s;
-    runtime::GenerationSession session(fx.acfg, fx.qd, &stats, opts);
-    tensor::MatrixF states;
-    session.prefill(random_input(4, fx.cfg.d_model, 920), fx.memory, states);
-
-    const auto tokens = random_input(fx.cfg.seq_len, fx.cfg.d_model, 921);
-    tensor::MatrixF state;
-    for (uint32_t pos = 4; pos < fx.cfg.seq_len; ++pos) {
-      const uint64_t before = stats.gathered_bytes;
-      session.decode_step(tokens.slice_rows(pos, 1), state);
-      const uint64_t executed = stats.gathered_bytes - before;
-      const auto fp = accel::estimate_kv_footprint(fx.cfg, pos + 1, br, s);
-      EXPECT_EQ(executed, fp.gather_bytes_per_step) << "pos " << pos;
-      const auto report = accel::estimate_decode_step_performance(
-          fx.acfg, fx.cfg, pos, static_cast<uint32_t>(fx.memory.rows()),
-          /*kv_gather_fallback=*/true, s);
-      EXPECT_EQ(executed, report.bytes_loaded) << "pos " << pos;
-    }
-  }
-}
-
 TEST(KvStorageBytes, DecodeStepModelInt8IsUntouchedAndQuantAddsDequant) {
   // int8 must be byte-identical to the pre-storage model (no new stage,
   // zero bytes); a quantized format adds ONLY the bytes-only kv_dequant
-  // stage in strided mode — cycles and MACs never move with storage.
+  // stage — cycles and MACs never move with storage.
   Fixture fx;
   const uint32_t mem = static_cast<uint32_t>(fx.memory.rows());
   const auto base = accel::estimate_decode_step_performance(fx.acfg, fx.cfg,
                                                             6, mem);
   const auto int8 = accel::estimate_decode_step_performance(
-      fx.acfg, fx.cfg, 6, mem, false, KvStorage::kInt8);
+      fx.acfg, fx.cfg, 6, mem, KvStorage::kInt8);
   EXPECT_EQ(int8.bytes_loaded, 0u);
   EXPECT_EQ(int8.total_cycles, base.total_cycles);
   EXPECT_EQ(int8.stages.size(), base.stages.size());
 
   for (const KvStorage s : kQuantStorages) {
     SCOPED_TRACE(numeric::kv_storage_name(s));
-    const auto q = accel::estimate_decode_step_performance(fx.acfg, fx.cfg, 6,
-                                                           mem, false, s);
+    const auto q =
+        accel::estimate_decode_step_performance(fx.acfg, fx.cfg, 6, mem, s);
     EXPECT_EQ(q.total_cycles, base.total_cycles);
     EXPECT_EQ(q.macs, base.macs);
     ASSERT_EQ(q.stages.size(), base.stages.size() + 1);
@@ -179,13 +148,13 @@ TEST(KvStorageBytes, DecodeStepModelInt8IsUntouchedAndQuantAddsDequant) {
   }
 }
 
-// --- paged == dense == gather, deterministic, per format ---------------------
+// --- paged == dense, deterministic, per format -------------------------------
 
 TEST(KvStorageDecode, PagedMatchesDenseAcrossFormatsAndBlockSizes) {
   // A quantized format quantizes ONCE per stored element; dense (in-place
-  // round-trip), paged block-strided (LUT fused into the span pack) and
-  // the paged gather fallback must all see the same decoded values —
-  // bit-identical outputs at every step, for every format.
+  // round-trip) and paged block-strided (codes — packed fp4 nibbles
+  // included — decoded in the span pack) must see the same decoded
+  // values: bit-identical outputs at every step, for every format.
   Fixture fx(10);
   for (const KvStorage s : kQuantStorages) {
     for (const size_t br : {size_t{1}, size_t{3}, size_t{16}}) {
@@ -199,42 +168,25 @@ TEST(KvStorageDecode, PagedMatchesDenseAcrossFormatsAndBlockSizes) {
       dense_opts.kv_storage = s;
       runtime::GenerationSession dense(fx.acfg, fx.qd, nullptr, dense_opts);
 
-      accel::EngineStats strided_stats, gather_stats;
-      runtime::GenerationOptions strided_opts;
-      strided_opts.kv_block_rows = br;
-      strided_opts.kv_storage = s;
-      runtime::GenerationSession strided(fx.acfg, fx.qd, &strided_stats,
-                                         strided_opts);
-      runtime::GenerationOptions gather_opts = strided_opts;
-      gather_opts.kv_gather_fallback = true;
-      runtime::GenerationSession gather(fx.acfg, fx.qd, &gather_stats,
-                                        gather_opts);
+      accel::EngineStats paged_stats;
+      runtime::GenerationOptions paged_opts;
+      paged_opts.kv_block_rows = br;
+      paged_opts.kv_storage = s;
+      runtime::GenerationSession paged(fx.acfg, fx.qd, &paged_stats,
+                                       paged_opts);
 
-      tensor::MatrixF ds, ss, gs;
+      tensor::MatrixF ds, ps;
       dense.prefill(prefix, fx.memory, ds);
-      strided.prefill(prefix, fx.memory, ss);
-      gather.prefill(prefix, fx.memory, gs);
-      ASSERT_EQ(ss, ds);
-      ASSERT_EQ(gs, ds);
+      paged.prefill(prefix, fx.memory, ps);
+      ASSERT_EQ(ps, ds);
       for (size_t t = prefix.rows(); t < fx.cfg.seq_len; ++t) {
         const auto token = tokens.slice_rows(t, 1);
         dense.decode_step(token, ds);
-        strided.decode_step(token, ss);
-        gather.decode_step(token, gs);
-        ASSERT_EQ(ss, ds) << "strided pos " << t;
-        ASSERT_EQ(gs, ds) << "gather pos " << t;
+        paged.decode_step(token, ps);
+        ASSERT_EQ(ps, ds) << "pos " << t;
       }
-      if (s == KvStorage::kFp4E2M1) {
-        // Packed fp4 rows are not span-readable: the default path falls
-        // back to gathering (decoding nibbles as it stages).
-        EXPECT_GT(strided_stats.gathered_bytes, 0u);
-      } else {
-        // fp8 streams the block table in place, codes decoded in the
-        // pack stage — still zero gather traffic.
-        EXPECT_EQ(strided_stats.gathered_bytes, 0u);
-        EXPECT_GT(strided_stats.span_runs, 0u);
-      }
-      EXPECT_GT(gather_stats.gathered_bytes, 0u);
+      // Every format streams the block table in place.
+      EXPECT_GT(paged_stats.span_runs, 0u);
     }
   }
 }
@@ -558,39 +510,95 @@ TEST(KvStorageGemm, LutGemmMatchesDecodeThenInt8) {
 }
 
 TEST(KvStorageGemm, SpanDecodeDispatchMatchesContiguous) {
-  // A RowSpanListI8 with `decode` set must equal decoding the spanned
-  // bytes into a contiguous matrix and multiplying that — the exact
-  // contract KvCache::self_spans hands the QK/SV engines.
-  const numeric::KvCodec* codec = numeric::kv_codec(KvStorage::kFp8E5M2);
-  ASSERT_NE(codec, nullptr);
+  // A RowSpanListI8 with `decode` set (plus `nibbles` for packed fp4)
+  // must equal decoding the spanned bytes into a contiguous matrix and
+  // multiplying that — the exact contract KvCache::self_spans hands the
+  // QK (B^T) and SV (B) engines. The rows sit in four runs separated by
+  // junk gaps, at a stride wider than the stored row; widths 6 and 10
+  // leave ragged column panels (kGemmNr = 8) and 300 crosses a K block.
+  // The stored bytes walk every one of the 256 byte values, so both
+  // nibbles of every byte value are read.
   util::Xoshiro256 rng(991);
-  const size_t k = 10, n = 6, m = 3;
-  tensor::MatrixI8 a(m, k), codes(k, n);
-  for (auto& x : a.flat()) {
-    x = static_cast<int8_t>(static_cast<int32_t>(rng.bounded(256)) - 128);
-  }
-  for (auto& x : codes.flat()) x = static_cast<int8_t>(rng.bounded(256));
+  const size_t m = 3;
+  const size_t run_rows[] = {4, 1, 135, 130};
+  const size_t rows = 270;  // sum of run_rows
+  const size_t gap_rows = 2;
+  for (const KvStorage s : {KvStorage::kFp8E5M2, KvStorage::kFp4E2M1}) {
+    const numeric::KvCodec* codec = numeric::kv_codec(s);
+    ASSERT_NE(codec, nullptr);
+    const bool nibbles = s == KvStorage::kFp4E2M1;
+    for (const size_t width : {size_t{6}, size_t{10}, size_t{300}}) {
+      SCOPED_TRACE(std::string(numeric::kv_storage_name(s)) + " width=" +
+                   std::to_string(width));
+      const size_t row_bytes = numeric::kv_storage_bytes(width, s);
+      const size_t stride = row_bytes + 5;
+      std::vector<int8_t> buf((rows + 4 * gap_rows) * stride, 0x5a);
+      std::vector<tensor::RowSpanI8> runs;
+      tensor::MatrixI8 decoded(rows, width);
+      size_t offset = 0, row = 0, stored_bytes = 0;
+      for (const size_t run : run_rows) {
+        runs.push_back({buf.data() + offset, run});
+        for (size_t i = 0; i < run; ++i, ++row) {
+          int8_t* stored = buf.data() + offset + i * stride;
+          for (size_t b = 0; b < row_bytes; ++b, ++stored_bytes) {
+            // 167 is odd, so any 256 consecutive bytes hit every value.
+            stored[b] = static_cast<int8_t>((stored_bytes * 167 + 13) & 0xff);
+          }
+          for (size_t j = 0; j < width; ++j) {
+            const auto byte = static_cast<uint8_t>(stored[nibbles ? j / 2 : j]);
+            const uint8_t code =
+                !nibbles ? byte : (j % 2 == 0 ? byte & 0x0f : byte >> 4);
+            decoded(row, j) = codec->decode[code];
+          }
+        }
+        offset += (run + gap_rows) * stride;
+      }
+      ASSERT_EQ(row, rows);
+      ASSERT_GE(stored_bytes, 256u);
 
-  // Split the k rows into three runs to exercise the span cursor.
-  const tensor::RowSpanI8 runs[] = {{codes.row(0).data(), 4},
-                                    {codes.row(4).data(), 1},
-                                    {codes.row(5).data(), 5}};
-  tensor::RowSpanListI8 spans;
-  spans.runs = runs;
-  spans.rows = k;
-  spans.cols = n;
-  spans.row_stride = n;
-  spans.decode = codec->decode.data();
+      const tensor::RowSpanListI8 spans{.runs = runs,
+                                        .rows = rows,
+                                        .cols = width,
+                                        .row_stride = stride,
+                                        .decode = codec->decode.data(),
+                                        .nibbles = nibbles};
+      tensor::MatrixI8 a(m, rows), at(m, width);
+      for (auto* mat : {&a, &at}) {
+        for (auto& x : mat->flat()) {
+          x = static_cast<int8_t>(static_cast<int32_t>(rng.bounded(256)) -
+                                  128);
+        }
+      }
+      std::vector<int8_t> pack(tensor::qgemm_pack_elems(rows + width));
 
-  tensor::MatrixI8 decoded(k, n);
-  for (size_t i = 0; i < codes.size(); ++i) {
-    decoded.data()[i] = codec->decode[static_cast<uint8_t>(codes.data()[i])];
+      // c = a * b: the list is the (rows x width) B operand (SV).
+      tensor::MatrixI32 want(m, width), got(m, width);
+      tensor::qgemm_into(a, decoded, want, pack);
+      tensor::qgemm_spans_into(a, spans, got, pack);
+      EXPECT_EQ(got, want);
+
+      // c = at * bt^T: the list is the (rows x width) B^T operand (QK).
+      tensor::MatrixI32 want_t(m, rows), got_t(m, rows);
+      tensor::qgemm_bt_into(at, decoded, want_t, pack);
+      tensor::qgemm_bt_spans_into(at, spans, got_t, pack);
+      EXPECT_EQ(got_t, want_t);
+
+      // The stride is checked against the STORED width, and nibble
+      // codes cannot be read without a table.
+      tensor::RowSpanListI8 narrow = spans;
+      narrow.row_stride = row_bytes - 1;
+      EXPECT_THROW(tensor::qgemm_spans_into(a, narrow, got, pack),
+                   std::invalid_argument);
+      if (nibbles) {
+        tensor::RowSpanListI8 packed_only = spans;
+        packed_only.row_stride = row_bytes;  // < width, still legal
+        EXPECT_NO_THROW(tensor::qgemm_spans_into(a, packed_only, got, pack));
+        packed_only.decode = nullptr;
+        EXPECT_THROW(tensor::qgemm_bt_spans_into(at, packed_only, got_t, pack),
+                     std::invalid_argument);
+      }
+    }
   }
-  std::vector<int8_t> pack(tensor::qgemm_pack_elems(n));
-  tensor::MatrixI32 want(m, n), got(m, n);
-  tensor::qgemm_into(a, decoded, want, pack);
-  tensor::qgemm_spans_into(a, spans, got, pack);
-  EXPECT_EQ(got, want);
 }
 
 }  // namespace

@@ -725,7 +725,9 @@ TEST(TrafficTrace, GeneratorIsDeterministicAndBounded) {
     EXPECT_GE(a[i].max_new, cfg.min_new) << i;
     EXPECT_LE(a[i].max_new, cfg.max_new) << i;
     EXPECT_FALSE(a[i].sampled && a[i].beam) << i;
-    if (a[i].cancel_on_deadline) EXPECT_GT(a[i].deadline_rounds, 0u) << i;
+    if (a[i].cancel_on_deadline) {
+      EXPECT_GT(a[i].deadline_rounds, 0u) << i;
+    }
 
     ++classes[static_cast<size_t>(a[i].priority)];
     sampled += a[i].sampled;

@@ -590,10 +590,11 @@ int main(int argc, char** argv) {
                        static_cast<double>(beam_perf.macs), "MACs"});
   }
 
-  // Executed: width-4 beam search on the small model, COW against the
-  // eager-copy reference. Gates: identical hypotheses, sharing actually
-  // happening (COW peak under both the eager peak and K dense lineages),
-  // and the reserve-at-admission bound honored.
+  // Executed: width-4 beam search on the small model — a COW group on
+  // the serving engine against the eager-copy beam_search_solo
+  // reference. Gates: identical hypotheses, sharing actually happening
+  // (COW peak under both the eager peak and K dense lineages), and the
+  // reserve-at-admission bound honored.
   {
     constexpr uint32_t kVocab = 64;
     ref::ModelConfig small;
@@ -625,20 +626,48 @@ int main(int argc, char** argv) {
     runtime::BeamSearchOptions opts;
     opts.beam_width = 4;
     opts.max_new_tokens = 8;
-    opts.kv_block_rows = 4;
-    opts.cow = true;
-    // cfg outlives the decoder — BeamSearchDecoder binds it by reference.
-    runtime::BeamSearchDecoder cow_dec(cfg, qd, vocab, opts);
-    util::Stopwatch cow_watch;
-    const auto cow_hyps = cow_dec.generate(prompt, memory);
-    const double cow_ms = cow_watch.milliseconds();
-    const auto cow_stats = cow_dec.last_run();
+    constexpr size_t kBlockRows = 4;
+    const size_t worst_case_blocks = runtime::beam_worst_case_blocks(
+        prompt.size(), opts.max_new_tokens, opts.beam_width, kBlockRows);
 
-    runtime::BeamSearchOptions eager_opts = opts;
-    eager_opts.cow = false;
-    runtime::BeamSearchDecoder eager_dec(cfg, qd, vocab, eager_opts);
-    const auto eager_hyps = eager_dec.generate(prompt, memory);
-    const auto eager_stats = eager_dec.last_run();
+    // COW: the group rides the serving engine alone, so the run's pool
+    // peak and COW copies are the group's. The pool is twice the
+    // admission bound, so a peak past the bound fails the gate below
+    // instead of being capped by the pool.
+    runtime::KvBlockPool cow_pool;
+    cow_pool.configure(2 * worst_case_blocks, kBlockRows,
+                       size_t{small.num_layers} * small.num_heads * 2 *
+                           small.head_dim());
+    runtime::BeamSearch cow_beam(opts, vocab);
+    cow_beam.reset(prompt);
+    std::vector<runtime::TrafficRequest> beam_reqs(1);
+    beam_reqs[0].gen.prefix = tensor::MatrixF(prompt.size(), small.d_model);
+    for (size_t r = 0; r < prompt.size(); ++r) {
+      std::copy(embed.row(prompt[r]).begin(), embed.row(prompt[r]).end(),
+                beam_reqs[0].gen.prefix.row(r).begin());
+    }
+    beam_reqs[0].gen.memory = &memory;
+    beam_reqs[0].gen.max_new_tokens = opts.max_new_tokens;
+    beam_reqs[0].beam = &cow_beam;
+    runtime::TrafficOptions beam_serve;
+    beam_serve.slots = opts.beam_width;
+    beam_serve.kv_block_rows = kBlockRows;
+    beam_serve.kv_pool = &cow_pool;
+    runtime::TrafficEngine beam_engine(cfg, qd);
+    util::Stopwatch cow_watch;
+    beam_engine.run(beam_reqs, beam_serve);
+    const double cow_ms = cow_watch.milliseconds();
+    const auto cow_hyps = cow_beam.hypotheses();
+    const uint64_t cow_peak = beam_engine.last_run().kv_blocks_peak;
+    const uint64_t cow_copies = cow_pool.cow_copies();
+
+    // Eager: the one-thread reference, every fork a full lineage copy.
+    runtime::BeamSearch eager_beam(opts, vocab);
+    accel::EngineStats eager_stats;
+    const auto eager_hyps =
+        runtime::beam_search_solo(cfg, qd, prompt, memory, eager_beam,
+                                  kBlockRows, &eager_stats);
+    const uint64_t eager_peak = eager_stats.kv_blocks_peak;
 
     bool beams_identical = cow_hyps.size() == eager_hyps.size();
     for (size_t i = 0; beams_identical && i < cow_hyps.size(); ++i) {
@@ -648,40 +677,33 @@ int main(int argc, char** argv) {
     // K dense lineages at the executed shape (the no-sharing baseline).
     const uint64_t dense_equiv_blocks =
         uint64_t{opts.beam_width} *
-        ((prompt.size() + opts.max_new_tokens - 1 + opts.kv_block_rows -
-          1) /
-         opts.kv_block_rows);
-    const bool sharing_happened =
-        cow_stats.cow_copies > 0 &&
-        cow_stats.kv_blocks_peak < eager_stats.kv_blocks_peak &&
-        cow_stats.kv_blocks_peak < dense_equiv_blocks &&
-        cow_stats.kv_blocks_peak <= cow_stats.worst_case_blocks;
+        ((prompt.size() + opts.max_new_tokens - 1 + kBlockRows - 1) /
+         kBlockRows);
+    const bool sharing_happened = cow_copies > 0 && cow_peak < eager_peak &&
+                                  cow_peak < dense_equiv_blocks &&
+                                  cow_peak <= worst_case_blocks;
     identical = identical && beams_identical && sharing_happened;
 
     std::printf(
         "executed beam search K=4 (prompt 12 + 8 new, 4-row blocks): "
-        "COW peak %zu blocks vs eager %zu (dense-equivalent %llu), "
-        "%llu COW copies, %llu forks, %.2f ms, hypotheses %s\n\n",
-        cow_stats.kv_blocks_peak, eager_stats.kv_blocks_peak,
+        "engine COW peak %llu blocks vs solo eager %llu (dense-equivalent "
+        "%llu), %llu COW copies, %.2f ms, hypotheses %s\n\n",
+        static_cast<unsigned long long>(cow_peak),
+        static_cast<unsigned long long>(eager_peak),
         static_cast<unsigned long long>(dense_equiv_blocks),
-        static_cast<unsigned long long>(cow_stats.cow_copies),
-        static_cast<unsigned long long>(cow_stats.forks), cow_ms,
+        static_cast<unsigned long long>(cow_copies), cow_ms,
         beams_identical ? "IDENTICAL" : "DIVERGED");
     records.push_back({"beam_cow", "beam_width", 4.0, "beams"});
     records.push_back({"beam_cow", "cow_kv_blocks_peak",
-                       static_cast<double>(cow_stats.kv_blocks_peak),
-                       "blocks"});
+                       static_cast<double>(cow_peak), "blocks"});
     records.push_back({"beam_cow", "eager_kv_blocks_peak",
-                       static_cast<double>(eager_stats.kv_blocks_peak),
-                       "blocks"});
+                       static_cast<double>(eager_peak), "blocks"});
     records.push_back({"beam_cow", "dense_equiv_blocks",
                        static_cast<double>(dense_equiv_blocks), "blocks"});
     records.push_back({"beam_cow", "cow_copies",
-                       static_cast<double>(cow_stats.cow_copies),
-                       "copies"});
+                       static_cast<double>(cow_copies), "copies"});
     records.push_back({"beam_cow", "worst_case_blocks",
-                       static_cast<double>(cow_stats.worst_case_blocks),
-                       "blocks"});
+                       static_cast<double>(worst_case_blocks), "blocks"});
     records.push_back({"beam_cow", "outputs_bit_identical",
                        beams_identical ? 1.0 : 0.0, "bool"});
     records.push_back({"beam_cow", "prompt_sharing_verified",

@@ -16,8 +16,9 @@
 //   3. the storm actually exercised the machinery: >= 1 preemption,
 //      >= 1 shed, >= 1 deadline miss (and >= 1 failpoint trip when
 //      PROTEA_FAILPOINTS is compiled in);
-//   4. a beam group preempted mid-decode restores to the exact
-//      hypotheses of an unpreempted run.
+//   4. the trace's beam requests ride the same engine as beam groups,
+//      and every completed group's hypotheses are bit-identical to its
+//      beam_search_solo reference.
 //
 // Emits BENCH_traffic.json (p50/p99 latency, goodput, preemption /
 // shed / deadline-miss counts, bit-identity results) in the unified
@@ -96,12 +97,24 @@ struct Harness {
   }
 };
 
-/// One scenario's requests plus the TokenStreams that back their
-/// next_token callbacks (streams are stateful, so every run builds a
-/// fresh set — determinism comes from the per-item policy seed).
+/// Beam groups in the storm: width 3, the trace item's token budget.
+runtime::BeamSearchOptions beam_options(const runtime::TraceItem& item) {
+  runtime::BeamSearchOptions opts;
+  opts.beam_width = 3;
+  opts.max_new_tokens = item.max_new;
+  return opts;
+}
+
+/// One scenario's requests plus the policies that back them: the
+/// TokenStreams behind next_token callbacks and, for beam items, the
+/// BeamSearch a group request carries (both stateful, so every run
+/// builds a fresh set — determinism comes from the per-item policy
+/// seed). `prompts` keeps each item's prompt tokens.
 struct BuiltRequests {
   std::vector<runtime::TrafficRequest> reqs;
   std::vector<std::unique_ptr<runtime::TokenStream>> streams;
+  std::vector<std::unique_ptr<runtime::BeamSearch>> beams;  // null: plain
+  std::vector<std::vector<uint32_t>> prompts;
 };
 
 /// `shared_rows` > 0 selects the storm's shared-prefix mode: items
@@ -115,6 +128,7 @@ BuiltRequests build_requests(const Harness& hx,
   BuiltRequests out;
   out.reqs.reserve(items.size());
   out.streams.reserve(items.size());
+  out.beams.reserve(items.size());
   for (const auto& item : items) {
     util::Xoshiro256 rng(item.policy_seed);
     std::vector<uint32_t> prompt(item.prompt_rows);
@@ -128,30 +142,51 @@ BuiltRequests build_requests(const Harness& hx,
     for (; row < prompt.size(); ++row) {
       prompt[row] = static_cast<uint32_t>(rng.bounded(hx.vocab.vocab_size()));
     }
-    runtime::DecodePolicy policy;
-    if (item.sampled) {
-      policy.sample = true;
-      policy.temperature = 1.2f;
-      policy.top_k = 8;
-      policy.seed = item.policy_seed;
-    }
-    auto stream = std::make_unique<runtime::TokenStream>(policy, hx.vocab,
-                                                         hx.cfg.seq_len);
-    stream->reset(prompt);
-
     runtime::TrafficRequest req;
     req.gen.prefix = hx.embed_rows(prompt);
     req.gen.memory = &hx.memory;
     req.gen.max_new_tokens = item.max_new;
-    req.gen.next_token = stream->callback();
+    std::unique_ptr<runtime::TokenStream> stream;
+    std::unique_ptr<runtime::BeamSearch> beam;
+    if (item.beam) {
+      beam = std::make_unique<runtime::BeamSearch>(beam_options(item),
+                                                   hx.vocab);
+      beam->reset(prompt);
+      req.beam = beam.get();
+    } else {
+      runtime::DecodePolicy policy;
+      if (item.sampled) {
+        policy.sample = true;
+        policy.temperature = 1.2f;
+        policy.top_k = 8;
+        policy.seed = item.policy_seed;
+      }
+      stream = std::make_unique<runtime::TokenStream>(policy, hx.vocab,
+                                                      hx.cfg.seq_len);
+      stream->reset(prompt);
+      req.gen.next_token = stream->callback();
+    }
     req.priority = item.priority;
     req.arrival_round = item.arrival_round;
     req.deadline_rounds = item.deadline_rounds;
     req.cancel_on_deadline = item.cancel_on_deadline;
     out.reqs.push_back(std::move(req));
     out.streams.push_back(std::move(stream));
+    out.beams.push_back(std::move(beam));
+    out.prompts.push_back(std::move(prompt));
   }
   return out;
+}
+
+bool same_hypotheses(const std::vector<runtime::BeamHypothesis>& a,
+                     const std::vector<runtime::BeamHypothesis>& b) {
+  bool same = a.size() == b.size();
+  for (size_t i = 0; same && i < a.size(); ++i) {
+    same = a[i].tokens == b[i].tokens &&
+           a[i].sum_logprob == b[i].sum_logprob && a[i].score == b[i].score &&
+           a[i].finished == b[i].finished;
+  }
+  return same;
 }
 
 bool rows_equal(const tensor::MatrixF& a, const tensor::MatrixF& b,
@@ -246,26 +281,37 @@ int main(int argc, char** argv) {
   trace_cfg.cancel_on_deadline_fraction = 0.1;
   trace_cfg.seed = 20260807;
   const auto trace = runtime::generate_trace(trace_cfg);
-
-  std::vector<runtime::TraceItem> engine_items, beam_items;
-  for (const auto& item : trace) {
-    (item.beam ? beam_items : engine_items).push_back(item);
-  }
-  gate.require(!beam_items.empty(), "trace contains a beam request");
+  const size_t beam_requests = static_cast<size_t>(
+      std::count_if(trace.begin(), trace.end(),
+                    [](const runtime::TraceItem& item) { return item.beam; }));
+  gate.require(beam_requests > 0, "trace contains a beam request");
 
   // --- solo references (unconstrained bits, one request at a time) ----------
-  // generate_solo shares no code with the engine under test.
-  const auto solo_all = [&hx](const std::vector<runtime::TrafficRequest>& reqs) {
+  // generate_solo and beam_search_solo share no code with the engine
+  // under test. A beam request's states are its prompt rows, so its
+  // state reference is a prefill-only solo run; its hypotheses come
+  // from beam_search_solo.
+  const auto solo_all = [&hx](const BuiltRequests& built) {
     std::vector<runtime::GenerationResult> out;
-    out.reserve(reqs.size());
-    for (const auto& r : reqs) {
+    out.reserve(built.reqs.size());
+    for (const auto& r : built.reqs) {
+      runtime::GenerationRequest gen = r.gen;
+      if (r.beam != nullptr) gen.max_new_tokens = 0;
       out.push_back(runtime::generate_solo(
-          hx.acfg, hx.qd, r.gen,
+          hx.acfg, hx.qd, gen,
           runtime::GenerationOptions{.kv_block_rows = 0}));
     }
     return out;
   };
-  const auto reference = solo_all(build_requests(hx, engine_items).reqs);
+  const auto reference = solo_all(build_requests(hx, trace));
+  std::vector<std::vector<runtime::BeamHypothesis>> beam_reference(
+      trace.size());
+  for (size_t i = 0; i < trace.size(); ++i) {
+    if (!trace[i].beam) continue;
+    auto built = build_requests(hx, {trace[i]});
+    beam_reference[i] = runtime::beam_search_solo(
+        hx.acfg, hx.qd, built.prompts[0], hx.memory, *built.beams[0]);
+  }
 
   // --- overload scenario (stepped, then threaded) ----------------------------
   runtime::TrafficOptions overload;
@@ -285,7 +331,7 @@ int main(int argc, char** argv) {
   overload.telemetry = &tel_stepped;
 
   runtime::TrafficEngine engine(hx.acfg, hx.qd);
-  auto stepped_built = build_requests(hx, engine_items);
+  auto stepped_built = build_requests(hx, trace);
   const auto stepped = engine.run(stepped_built.reqs, overload);
   const auto stepped_stats = engine.last_run();
 
@@ -294,7 +340,7 @@ int main(int argc, char** argv) {
   threaded_opts.mha_slots = 2;
   threaded_opts.ffn_slots = 2;
   threaded_opts.telemetry = &tel_threaded;
-  auto threaded_built = build_requests(hx, engine_items);
+  auto threaded_built = build_requests(hx, trace);
   const auto threaded = engine.run(threaded_built.reqs, threaded_opts);
   const auto threaded_stats = engine.last_run();
 
@@ -316,8 +362,11 @@ int main(int argc, char** argv) {
   }
 
   // Gate 1: completed bits match the solo references; cancelled requests
-  // return an exact prefix of them.
+  // return an exact prefix of them. Completed beam groups also match
+  // their beam_search_solo hypotheses.
   size_t completed = 0, late = 0, shed = 0, cancelled = 0;
+  size_t beam_completed = 0;
+  bool beams_match = true;
   std::vector<double> lat_rounds, lat_ms;
   uint64_t ontime_tokens = 0;
   for (size_t i = 0; i < stepped.size(); ++i) {
@@ -330,7 +379,18 @@ int main(int argc, char** argv) {
             res.outcome == runtime::TrafficOutcome::kCompletedLate;
         completed += 1;
         late += is_late ? 1 : 0;
-        gate.require(res.steps == ref.steps, "completed request step count");
+        if (trace[i].beam) {
+          beam_completed += 1;
+          const bool same = same_hypotheses(
+              stepped_built.beams[i]->hypotheses(), beam_reference[i]) &&
+              same_hypotheses(threaded_built.beams[i]->hypotheses(),
+                              beam_reference[i]);
+          beams_match = beams_match && same;
+          gate.require(same, "completed beam group bit-identical to solo");
+        } else {
+          gate.require(res.steps == ref.steps,
+                       "completed request step count");
+        }
         gate.require(res.states.rows() == ref.states.rows() &&
                          rows_equal(res.states, ref.states, ref.states.rows()),
                      "completed request bit-identical to solo reference");
@@ -397,14 +457,17 @@ int main(int argc, char** argv) {
   runtime::TrafficOptions recompute_opts = overload;
   recompute_opts.recovery = runtime::PreemptionRecovery::kRecompute;
   recompute_opts.telemetry = nullptr;  // keep tel_stepped's ring storm-only
-  auto recompute_built = build_requests(hx, engine_items);
+  auto recompute_built = build_requests(hx, trace);
   const auto recomputed = engine.run(recompute_built.reqs, recompute_opts);
   const auto recompute_stats = engine.last_run();
   for (size_t i = 0; i < recomputed.size(); ++i) {
     const auto& res = recomputed[i];
     if (res.outcome == runtime::TrafficOutcome::kCompleted ||
         res.outcome == runtime::TrafficOutcome::kCompletedLate) {
-      gate.require(res.steps == reference[i].steps &&
+      gate.require((trace[i].beam
+                        ? same_hypotheses(recompute_built.beams[i]->hypotheses(),
+                                          beam_reference[i])
+                        : res.steps == reference[i].steps) &&
                        res.states.rows() == reference[i].states.rows() &&
                        rows_equal(res.states, reference[i].states,
                                   reference[i].states.rows()),
@@ -437,49 +500,7 @@ int main(int argc, char** argv) {
                "injected exhaustion storm fired");
 #endif
 
-  // --- beam group preemption under the same pool pressure --------------------
-  const auto& bi = beam_items.front();
-  util::Xoshiro256 brng(bi.policy_seed);
-  std::vector<uint32_t> beam_prompt(std::max<uint32_t>(bi.prompt_rows, 1));
-  for (uint32_t& t : beam_prompt) {
-    t = static_cast<uint32_t>(brng.bounded(hx.vocab.vocab_size()));
-  }
-  runtime::BeamSearchOptions bopts;
-  bopts.beam_width = 3;
-  bopts.max_new_tokens = std::max<uint32_t>(bi.max_new, 4);
-  bopts.kv_block_rows = 4;
-  runtime::BeamSearchDecoder solo(hx.acfg, hx.qd, hx.vocab, bopts);
-  const auto want = solo.generate(beam_prompt, hx.memory);
-
-  runtime::KvBlockPool beam_pool;
-  const size_t worst = runtime::beam_worst_case_blocks(
-      beam_prompt.size(), bopts.max_new_tokens, bopts.beam_width,
-      bopts.kv_block_rows, bopts.cow);
-  beam_pool.configure(worst + 2, bopts.kv_block_rows,
-                      size_t{hx.cfg.num_layers} * hx.cfg.num_heads * 2 *
-                          (hx.cfg.d_model / hx.cfg.num_heads));
-  bopts.kv_pool = &beam_pool;
-  bool beam_fired = false;
-  bopts.preempt_point = [&beam_fired](uint32_t generated) {
-    if (generated == 2 && !beam_fired) {
-      beam_fired = true;
-      return true;
-    }
-    return false;
-  };
-  runtime::BeamSearchDecoder preempted(hx.acfg, hx.qd, hx.vocab, bopts);
-  const auto got = preempted.generate(beam_prompt, hx.memory);
-  bool beams_match = got.size() == want.size();
-  for (size_t i = 0; beams_match && i < got.size(); ++i) {
-    beams_match = got[i].tokens == want[i].tokens &&
-                  got[i].sum_logprob == want[i].sum_logprob &&
-                  got[i].finished == want[i].finished;
-  }
-  gate.require(beams_match, "preempted beam group restores bit-identically");
-  gate.require(preempted.last_run().group_preemptions == 1,
-               "beam group was preempted exactly once");
-  gate.require(preempted.last_run().replayed_rows > 0,
-               "beam restore replayed committed rows");
+  gate.require(beam_completed >= 1, "storm completed a beam group");
 
   // --- shared-prefix storm: radix adoption under the same pressure -----------
   // A second seeded trace where every request opens with one of four
@@ -504,7 +525,7 @@ int main(int argc, char** argv) {
     pcfg.min_new = 1;
     pcfg.max_new = 8;
     pcfg.sampled_fraction = 0.3;
-    pcfg.beam_fraction = 0.0;  // engine-only: the cache serves sessions
+    pcfg.beam_fraction = 0.0;  // groups never adopt or publish blocks
     pcfg.interactive_fraction = 0.25;
     pcfg.batch_fraction = 0.25;
     pcfg.deadline_fraction = 0.5;
@@ -516,7 +537,7 @@ int main(int argc, char** argv) {
     const auto pitems = runtime::generate_trace(pcfg);
 
     const auto pref =
-        solo_all(build_requests(hx, pitems, pcfg.shared_prefix_rows).reqs);
+        solo_all(build_requests(hx, pitems, pcfg.shared_prefix_rows));
 
     runtime::TrafficOptions popts;
     popts.slots = 5;
@@ -670,12 +691,17 @@ int main(int argc, char** argv) {
 
   util::Table table({"Metric", "Value"});
   table.set_title("Traffic storm (" + std::string(mode) + " trace, " +
-                  std::to_string(engine_items.size()) + " engine + " +
-                  std::to_string(beam_items.size()) + " beam requests)");
+                  std::to_string(trace.size()) + " requests incl. " +
+                  std::to_string(beam_requests) +
+                  " beam groups, one engine)");
   table.row({"completed (on time / late)", std::to_string(completed - late) +
                                                " / " + std::to_string(late)});
   table.row({"shed / cancelled",
              std::to_string(shed) + " / " + std::to_string(cancelled)});
+  table.row({"beam groups completed (== solo)",
+             std::to_string(beam_completed) + " / " +
+                 std::to_string(beam_requests) +
+                 (beams_match ? " (yes)" : " (NO)")});
   table.row({"preemptions (kAuto storm)",
              std::to_string(preemptions) + " (" + std::to_string(swap_outs) +
                  " swapped)"});
@@ -709,7 +735,7 @@ int main(int argc, char** argv) {
   // Every SchedulerStats counter — aggregate and per-class — lands in
   // the records through the shared flattener; only derived metrics
   // (latencies, goodput, gate verdicts) are emitted by hand.
-  count("requests", static_cast<double>(engine_items.size()));
+  count("requests", static_cast<double>(trace.size()));
   for (const auto& s : runtime::flatten_stats(stepped_stats)) {
     records.push_back({name, s.metric, s.value, s.unit});
   }
@@ -726,13 +752,9 @@ int main(int argc, char** argv) {
   count("goodput", goodput_tok_s, "tokens/s");
   count("bit_identical_vs_solo", gate.ok ? 1.0 : 0.0, "bool");
   count("stepped_equals_threaded", modes_match ? 1.0 : 0.0, "bool");
-  records.push_back({std::string("beam_group_preemption_") + mode,
-                     "bit_identical_restore", beams_match ? 1.0 : 0.0,
-                     "bool"});
-  records.push_back({std::string("beam_group_preemption_") + mode,
-                     "replayed_rows",
-                     static_cast<double>(preempted.last_run().replayed_rows),
-                     "rows"});
+  count("beam_requests", static_cast<double>(beam_requests));
+  count("beam_completed", static_cast<double>(beam_completed));
+  count("beam_bit_identical_vs_solo", beams_match ? 1.0 : 0.0, "bool");
 
   // Telemetry folds into the same record file: every registered
   // histogram's p50/p95/p99/mean/count plus the counters, under the

@@ -4,12 +4,13 @@
 //
 // Greedy and sampled requests plug into the continuous-batching
 // serving engine through TokenStream callbacks (the engine stays
-// vocabulary-free); beam search runs on copy-on-write KV forking: one
-// prefill of the prompt, then every beam adopts the prompt's block table
-// by refcount and pays a single block copy at its first divergent
-// append. The run prints the pool accounting that makes the sharing
-// visible — K beams at near-1x prompt footprint — and cross-checks the
-// COW beams against the eager-copy reference (bit-identical hypotheses).
+// vocabulary-free); a beam request rides the same engine as one group
+// of K seats on copy-on-write KV forking: one prefill of the prompt,
+// then every beam adopts the prompt's block table by refcount and pays
+// a single block copy at its first divergent append. The run prints the
+// pool accounting that makes the sharing visible — K beams at near-1x
+// prompt footprint — and cross-checks the COW beams against the
+// eager-copy beam_search_solo reference (bit-identical hypotheses).
 #include <cstdio>
 #include <vector>
 
@@ -106,21 +107,37 @@ int main() {
     print_tokens(label, streams[i]->tokens());
   }
 
-  // --- width-4 beam search on COW forks -------------------------------------
+  // --- width-4 beam search on COW forks, same engine -----------------------
   runtime::BeamSearchOptions beam_opts;
   beam_opts.beam_width = 4;
   beam_opts.max_new_tokens = 10;
-  beam_opts.kv_block_rows = 4;
-  runtime::BeamSearchDecoder beam(hw_config, engine.model(), vocab,
-                                  beam_opts);
-  const auto hyps = beam.generate(prompt, memory);
-  const auto& stats = beam.last_run();
+  constexpr size_t kBlockRows = 4;
+  const size_t bound = runtime::beam_worst_case_blocks(
+      prompt.size(), beam_opts.max_new_tokens, beam_opts.beam_width,
+      kBlockRows);
+  runtime::KvBlockPool beam_pool;  // exactly the group's admission bound
+  beam_pool.configure(bound, kBlockRows,
+                      size_t{model.num_layers} * model.num_heads * 2 *
+                          model.head_dim());
+  runtime::BeamSearch beam(beam_opts, vocab);
+  beam.reset(prompt);
+  std::vector<runtime::TrafficRequest> beam_request(1);
+  beam_request[0].gen.prefix = embed_rows(prompt);
+  beam_request[0].gen.memory = &memory;
+  beam_request[0].gen.max_new_tokens = beam_opts.max_new_tokens;
+  beam_request[0].beam = &beam;
+  runtime::TrafficOptions beam_serve;
+  beam_serve.slots = beam_opts.beam_width;
+  beam_serve.kv_block_rows = kBlockRows;
+  beam_serve.kv_pool = &beam_pool;
+  engine.run(beam_request, beam_serve);
+  const auto hyps = beam.hypotheses();
 
-  runtime::BeamSearchOptions eager_opts = beam_opts;
-  eager_opts.cow = false;
-  runtime::BeamSearchDecoder eager(hw_config, engine.model(), vocab,
-                                   eager_opts);
-  const auto eager_hyps = eager.generate(prompt, memory);
+  runtime::BeamSearch eager(beam_opts, vocab);
+  accel::EngineStats eager_stats;
+  const auto eager_hyps = runtime::beam_search_solo(
+      hw_config, engine.model(), prompt, memory, eager, kBlockRows,
+      &eager_stats);
   bool identical = hyps.size() == eager_hyps.size();
   for (size_t i = 0; identical && i < hyps.size(); ++i) {
     identical = hyps[i].tokens == eager_hyps[i].tokens;
@@ -134,13 +151,12 @@ int main() {
     print_tokens(label, hyps[i].tokens);
   }
   std::printf(
-      "\nCOW pool accounting: peak %zu unique blocks "
-      "(admission bound %zu, eager reference %zu), %llu block copies "
-      "across %llu forks; hypotheses vs eager-copy caches: %s\n",
-      stats.kv_blocks_peak, stats.worst_case_blocks,
-      eager.last_run().kv_blocks_peak,
-      static_cast<unsigned long long>(stats.cow_copies),
-      static_cast<unsigned long long>(stats.forks),
+      "\nCOW pool accounting: peak %llu unique blocks "
+      "(admission bound %zu, eager reference %llu), %llu block copies; "
+      "hypotheses vs eager-copy caches: %s\n",
+      static_cast<unsigned long long>(engine.last_run().kv_blocks_peak),
+      bound, static_cast<unsigned long long>(eager_stats.kv_blocks_peak),
+      static_cast<unsigned long long>(beam_pool.cow_copies()),
       identical ? "IDENTICAL" : "DIVERGED");
   return identical ? 0 : 1;
 }

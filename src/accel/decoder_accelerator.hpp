@@ -159,13 +159,14 @@ ForkedKvFootprint estimate_forked_kv_footprint(
     numeric::KvStorage storage = numeric::KvStorage::kInt8);
 
 /// Cycle model of width-K beam search over the KV-cached engine,
-/// mirroring BeamSearchDecoder's executed schedule: ONE prefill of
+/// mirroring the executed beam schedule (TrafficEngine's beam groups and
+/// runtime::beam_search_solo run the same one): ONE prefill of
 /// `prefill_len` rows (beams fork the cache instead of re-prefilling —
 /// forks cost no engine work), then K incremental steps per emitted
 /// token at positions [prefill_len, total_len - 1) — the final selected
 /// token is scored from the last step's states and never decoded. The
 /// vocab-head projection runs off-accelerator and is not modeled. MACs
-/// are cross-checked against the executed decoder's EngineStats in
+/// are cross-checked against beam_search_solo's EngineStats in
 /// tests/test_decode_policy.cpp.
 PerfReport estimate_beam_generation_performance(const AccelConfig& config,
                                                 const ref::ModelConfig& model,

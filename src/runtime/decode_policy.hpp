@@ -16,20 +16,14 @@
 //     GenerationRequest::next_token callback: greedy argmax or seeded
 //     stochastic sampling, reproducible for any scheduler interleaving
 //     because the RNG is per-request.
-//   * BeamSearchDecoder — width-K beam search with length-normalized
-//     (GNMT) scoring, built on copy-on-write KV forking: ONE prefill of
-//     the prompt, then every beam (and every per-step re-fork of the
-//     survivors) adopts the prefix block table by refcount
-//     (KvCache::fork_from) — K beams at near-1x prompt footprint, with
-//     the first divergent append per block paying the one copy.
-//     Admission reserves the group's COW-aware worst-case block count
-//     as a KvPoolCredit, so beam groups apply backpressure against a
-//     shared pool without ever waiting mid-decode (deadlock-free: a
-//     group waits only at admission, holding nothing).
-//     After admission the stepped (threads = 1) decode loop performs
-//     zero heap allocations; threads > 1 steps live beams on a worker
-//     pool, bit-identical to stepped because selection is a
-//     deterministic reduction over per-beam logits.
+//   * BeamSearch — width-K beam-search POLICY with length-normalized
+//     (GNMT) scoring: per-request selection state shaped like
+//     TokenStream, owning no sessions, pool or threads. TrafficEngine
+//     (runtime/traffic.hpp) serves a beam request as one group of
+//     beam_width seats whose KV caches fork copy-on-write, so K beams
+//     hold the prompt at near-1x footprint. beam_search_solo() is the
+//     one reference (one thread, eager block copies): engine == solo
+//     checks COW == eager and batched == solo at once.
 //
 // The vocab head and embedding table are caller-owned float stand-ins
 // (as in the benches); their projections run off-accelerator and are
@@ -38,17 +32,15 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <span>
 #include <vector>
 
 #include "accel/accel_config.hpp"
 #include "accel/decoder_model.hpp"
+#include "accel/engines.hpp"
 #include "runtime/generation.hpp"
-#include "runtime/kv_cache.hpp"
 #include "tensor/matrix.hpp"
 #include "util/rng.hpp"
-#include "util/thread_pool.hpp"
 
 namespace protea::runtime {
 
@@ -165,33 +157,6 @@ struct BeamSearchOptions {
   /// `sample`/`seed` are ignored — beam expansion is exhaustive over the
   /// unmasked vocabulary; `eos_token` finishes a hypothesis.
   DecodePolicy logits;
-  /// true: forks adopt the parent block table by refcount (COW). false:
-  /// every fork eagerly copies all blocks — the bit-exact reference mode
-  /// the COW path is verified against.
-  bool cow = true;
-  /// 1 = deterministic stepped loop (zero steady-state allocations);
-  /// > 1 steps live beams on that many workers, bit-identical to stepped.
-  size_t threads = 1;
-  /// Self-K/V tokens per block (must be paged: forking needs the block
-  /// table).
-  size_t kv_block_rows = 16;
-  /// Shared pool to serve the beam group from (admission reserves the
-  /// COW-aware worst case against it); nullptr gives the decoder a
-  /// private pool sized at its own worst case.
-  KvBlockPool* kv_pool = nullptr;
-  /// Cooperative group-preemption hook for traffic schedulers: called
-  /// before each selection round with the number of tokens selected so
-  /// far. Returning true preempts the WHOLE group as a unit — every
-  /// session's blocks AND the admission credit go back to the pool —
-  /// then restores it bit-exactly (one prompt re-prefill, re-fork, and
-  /// per-beam replay of the committed tokens) under a fresh credit at
-  /// the same worst-case bound. Hypotheses are identical to an
-  /// unpreempted run.
-  std::function<bool(uint32_t generated)> preempt_point;
-  /// Fires between release and restore, while the group holds NOTHING
-  /// (used by tests to assert the pool drained, and by schedulers to run
-  /// higher-priority work).
-  std::function<void()> on_preempted;
 
   void validate() const;
 };
@@ -203,100 +168,107 @@ struct BeamHypothesis {
   bool finished = false;  // ended on EOS (vs ran out of budget)
 };
 
-struct BeamSearchStats {
-  /// COW-aware worst-case unique blocks reserved at admission.
-  size_t worst_case_blocks = 0;
-  /// Peak unique blocks the group actually held (credit accounting) —
-  /// the executed sharing win: compare against beam_width x a dense
-  /// lineage.
-  size_t kv_blocks_peak = 0;
-  uint64_t cow_copies = 0;   // write-triggered block copies this run
-  uint64_t forks = 0;        // cache forks (initial spread + re-forks)
-  uint64_t decode_steps = 0; // per-beam engine steps
-  uint64_t credit_waits = 0; // admission had to wait for pool headroom
-  uint64_t macs = 0;         // engine MACs summed over the group
-  uint64_t group_preemptions = 0;  // preempt_point evictions this run
-  uint64_t replayed_rows = 0;      // rows re-run by group restores
-};
-
 /// COW-aware worst-case unique-block bound for a width-K group decoding
 /// `max_new_tokens` off a `prompt_rows`-row prefill: the shared prompt
 /// lineage counts ONCE, plus each beam's worst-case divergent tail
 /// (its blocks past the last fully-shared block, including the COW copy
-/// of the straddling block). With cow = false the bound is the eager
-/// one: two generations of K private lineages (double-buffered
-/// re-forking). This is the reserve-at-admission number — a group that
-/// reserves it never waits (and never throws) mid-decode.
+/// of the straddling block). TrafficEngine reserves it as a group's
+/// admission credit, so a running group never comes up short.
 size_t beam_worst_case_blocks(size_t prompt_rows, size_t max_new_tokens,
-                              size_t beam_width, size_t block_rows,
-                              bool cow);
+                              size_t beam_width, size_t block_rows);
 
-/// Width-K beam search driver over 2K forked GenerationSessions (K live
-/// + K re-fork targets). Construction warms the sessions; generate()
-/// performs admission (credit reservation), one prefill, and the
-/// fork/step/select loop. Reusable across calls.
-class BeamSearchDecoder {
+/// Selection survivor i (its index in the returned span) continues member
+/// `source`'s lineage with `token` pending.
+struct BeamPick {
+  uint32_t source = 0;
+  uint32_t token = 0;
+};
+
+/// Width-K beam-search policy: the per-request selection state a serving
+/// loop drives. After reset() there is one member (the prompt); the
+/// driver scores each live member's newest state, calls select(),
+/// rebuilds its members from the picks (the first pick of a source takes
+/// over its KV cache, each further pick forks it), decodes every
+/// member's pending token and repeats until done(). Rounds never
+/// allocate.
+class BeamSearch {
  public:
-  /// `config`, `model` and `vocab` (and options.kv_pool, when given)
-  /// must outlive the decoder.
-  BeamSearchDecoder(const accel::AccelConfig& config,
-                    const accel::QuantizedDecoder& model,
-                    const VocabModel& vocab,
-                    const BeamSearchOptions& options);
-  ~BeamSearchDecoder();
-  BeamSearchDecoder(const BeamSearchDecoder&) = delete;
-  BeamSearchDecoder& operator=(const BeamSearchDecoder&) = delete;
+  /// `vocab` (head + embedding table) must outlive the policy.
+  BeamSearch(const BeamSearchOptions& options, const VocabModel& vocab);
 
-  /// Runs beam search for `prompt_tokens` (embedded through the vocab
-  /// table) against `memory`; returns at most beam_width hypotheses,
-  /// best score first. Deterministic for any `threads` setting.
-  std::vector<BeamHypothesis> generate(
-      std::span<const uint32_t> prompt_tokens,
-      const tensor::MatrixF& memory);
+  /// Starts a fresh search; `prompt_tokens` seed every beam's history.
+  void reset(std::span<const uint32_t> prompt_tokens);
 
-  const BeamSearchStats& last_run() const { return last_run_; }
-  const KvBlockPool& pool() const { return *pool_; }
+  /// Projects member `member`'s newest output state through the vocab
+  /// head, shapes it by the member's history and log-softmaxes it.
+  /// Distinct members may be scored concurrently.
+  void score(size_t member, std::span<const float> state);
+
+  /// One selection round over the scored members: ranks every (member,
+  /// token) extension by summed log-probability, offers EOS ones to the
+  /// finished set and returns the best beam_width others as the next
+  /// members (valid until the next select()).
+  std::span<const BeamPick> select();
+
+  /// Writes member `member`'s pending (not yet decoded) token embedding
+  /// into `next` (1 x d).
+  void embed_pending(size_t member, tensor::MatrixF& next) const;
+  /// Member `member`'s tokens so far; all but the last (pending) one
+  /// are cached in its lineage.
+  std::span<const uint32_t> tokens(size_t member) const;
+
+  size_t live() const { return live_; }
+  /// Selection rounds run since reset() (tokens chosen per beam).
+  uint32_t generated() const { return generated_; }
+  bool done() const {
+    return live_ == 0 || generated_ >= options_.max_new_tokens;
+  }
+  /// At most beam_width hypotheses, best score first: the finished ones
+  /// plus the live beams scored at their current length.
+  std::vector<BeamHypothesis> hypotheses() const;
+
   const BeamSearchOptions& options() const { return options_; }
+  const VocabModel& vocab() const { return vocab_; }
+  /// Prompt length of the current search (0 before the first reset()).
+  size_t prompt_rows() const { return prompt_rows_; }
 
  private:
   struct Beam {
-    uint32_t pending = 0;  // selected token, decoded next step
+    uint32_t pending = 0;  // selected token, decoded next round
     double sum_logprob = 0.0;
     std::vector<uint32_t> tokens;
     std::vector<uint32_t> history;  // prompt + tokens (penalty window)
   };
 
   double length_norm(size_t len) const;
-  void step_beam(size_t j);
   void offer_finished(const Beam& beam, uint32_t token, double sum);
-  void release_all();
-  /// options_.preempt_point fired: evict the whole group (blocks +
-  /// credit), notify, re-admit and rebuild it bit-exactly.
-  void preempt_restore_group(const tensor::MatrixF& prompt,
-                             const tensor::MatrixF& memory,
-                             KvCreditLease& lease);
 
-  const accel::AccelConfig* config_;
-  const accel::QuantizedDecoder* model_;
-  const VocabModel* vocab_;
   BeamSearchOptions options_;
-  KvBlockPool* pool_ = nullptr;
-  std::unique_ptr<KvBlockPool> owned_pool_;
-  std::vector<std::unique_ptr<GenerationSession>> cur_sessions_;
-  std::vector<std::unique_ptr<GenerationSession>> next_sessions_;
-  std::vector<Beam> cur_beams_, next_beams_;
+  VocabModel vocab_;
+  size_t prompt_rows_ = 0;
   size_t live_ = 0;
-  std::vector<LogitsProcessor> processors_;  // one per beam (threaded)
-  tensor::MatrixF logits_;                   // (K x V) per-beam scratch
-  std::vector<tensor::MatrixF> token_embeds_;  // (1 x d) per beam
-  std::vector<tensor::MatrixF> states_;        // (1 x d) per beam
-  std::vector<uint64_t> cand_order_;   // flat (beam, token) candidates
+  uint32_t generated_ = 0;
+  std::vector<Beam> cur_beams_, next_beams_;
+  std::vector<LogitsProcessor> processors_;  // one per member
+  tensor::MatrixF logits_;                   // (K x V) per-member scratch
+  std::vector<uint64_t> cand_order_;  // flat (member, token) candidates
   std::vector<double> cand_scores_;
-  std::vector<size_t> moved_from_;  // source beam -> adopting next slot
+  std::vector<BeamPick> picks_;
   std::vector<BeamHypothesis> finished_;  // best-K finished, preallocated
   size_t finished_count_ = 0;
-  std::unique_ptr<util::ThreadPool> workers_;
-  BeamSearchStats last_run_;
 };
+
+/// The beam reference: resets `beam` for `prompt_tokens` and serves it
+/// against `memory` on one thread — one prompt prefill, then select /
+/// rebuild / decode rounds — on a private pool of `kv_block_rows`-row
+/// blocks with EAGER fork copies (two generations of lineages, the
+/// double-buffered re-fork order). It shares no code with the serving
+/// engine. `stats` optionally collects the sessions' MACs and the pool's
+/// block peak. Returns beam.hypotheses().
+std::vector<BeamHypothesis> beam_search_solo(
+    const accel::AccelConfig& config, const accel::QuantizedDecoder& model,
+    std::span<const uint32_t> prompt_tokens, const tensor::MatrixF& memory,
+    BeamSearch& beam, size_t kv_block_rows = 16,
+    accel::EngineStats* stats = nullptr);
 
 }  // namespace protea::runtime

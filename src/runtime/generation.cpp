@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "numeric/quantizer.hpp"
+#include "runtime/decode_policy.hpp"
 #include "runtime/prefix_cache.hpp"
 #include "tensor/qgemm.hpp"
 
@@ -346,7 +347,8 @@ bool GenerationSession::try_swap_in(std::span<const int8_t> src,
 
 void validate_generation_request(const GenerationRequest& r,
                                  const ref::ModelConfig& cfg,
-                                 const hw::SynthParams& synth) {
+                                 const hw::SynthParams& synth,
+                                 const BeamSearch* beam) {
   if (r.memory == nullptr) {
     throw std::invalid_argument("generation request: memory missing");
   }
@@ -365,9 +367,18 @@ void validate_generation_request(const GenerationRequest& r,
       r.memory->cols() != cfg.d_model) {
     throw std::invalid_argument("generation request: bad memory shape");
   }
-  if (r.max_new_tokens > 0 && !r.next_token) {
-    throw std::invalid_argument("generation request: next_token missing");
+  if (beam != nullptr ? static_cast<bool>(r.next_token)
+                      : r.max_new_tokens > 0 && !r.next_token) {
+    throw std::invalid_argument(
+        "generation request: needs exactly one of next_token and beam");
   }
+  if (beam == nullptr) return;
+  if (r.max_new_tokens != beam->options().max_new_tokens ||
+      beam->prompt_rows() != r.prefix.rows() || beam->generated() != 0) {
+    throw std::invalid_argument(
+        "generation request: beam not reset() for this prompt and budget");
+  }
+  beam->vocab().validate(cfg.d_model);
 }
 
 GenerationResult generate_solo(const accel::AccelConfig& config,

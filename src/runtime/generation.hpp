@@ -28,9 +28,10 @@
 //     the independent oracle every batching, paging, preemption and
 //     threading test compares against.
 //
-// Token policy (greedy argmax, sampling, beam bookkeeping) stays with the
-// caller: requests carry a next_token callback mapping the newest output
-// state to the next input embedding, so the engine is vocabulary-free.
+// Token policy stays with the caller — a next_token callback mapping the
+// newest output state to the next input embedding, or a BeamSearch the
+// serving engine drives over forked sessions — so this layer is
+// vocabulary-free.
 #pragma once
 
 #include <cstdint>
@@ -49,6 +50,7 @@
 
 namespace protea::runtime {
 
+class BeamSearch;
 class PrefixCache;
 
 struct GenerationOptions {
@@ -222,21 +224,9 @@ class GenerationSession {
 /// callback) can never strand pool blocks other sequences wait on.
 class SequenceScope {
  public:
-  SequenceScope() = default;
   explicit SequenceScope(GenerationSession* session) : session_(session) {}
   ~SequenceScope() {
     if (session_ != nullptr) session_->end_sequence();
-  }
-  SequenceScope(SequenceScope&& other) noexcept : session_(other.session_) {
-    other.session_ = nullptr;
-  }
-  SequenceScope& operator=(SequenceScope&& other) noexcept {
-    if (this != &other) {
-      if (session_ != nullptr) session_->end_sequence();
-      session_ = other.session_;
-      other.session_ = nullptr;
-    }
-    return *this;
   }
   SequenceScope(const SequenceScope&) = delete;
   SequenceScope& operator=(const SequenceScope&) = delete;
@@ -268,16 +258,19 @@ struct GenerationResult {
   uint32_t steps = 0;  // decode steps executed
 };
 
-/// The request checks shared by every entry point (generate_solo and
-/// TrafficEngine): memory present and shaped, prefix non-empty at
-/// d_model width, next_token set whenever tokens are wanted, and
-/// prefix + max_new_tokens <= seq_len + 1 — the final token is emitted
-/// from the last cached row's state and its embedding is never fed
-/// back, so a prompt that exactly fills seq_len can still decode its
-/// first token. Throws std::invalid_argument.
+/// The request checks shared by every entry point (generate_solo,
+/// beam_search_solo and TrafficEngine): memory present and shaped,
+/// prefix non-empty at d_model width, one token policy — next_token
+/// whenever tokens are wanted, or `beam` (reset() for this prompt and
+/// max_new_tokens, its vocab d_model wide) — and prefix +
+/// max_new_tokens <= seq_len + 1: the final token is emitted from the
+/// last cached row's state and its embedding is never fed back, so a
+/// prompt that exactly fills seq_len can still decode its first token.
+/// Throws std::invalid_argument.
 void validate_generation_request(const GenerationRequest& request,
                                  const ref::ModelConfig& cfg,
-                                 const hw::SynthParams& synth);
+                                 const hw::SynthParams& synth,
+                                 const BeamSearch* beam = nullptr);
 
 /// Solo reference: serves ONE request on a fresh session built with
 /// `options` — prefill of the whole prompt (in options.prefill_chunk

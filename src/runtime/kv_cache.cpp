@@ -76,6 +76,11 @@ size_t KvBlockPool::peak_used_blocks() const {
   return peak_used_;
 }
 
+void KvBlockPool::reset_peak() {
+  const std::lock_guard lock(mutex_);
+  peak_used_ = num_blocks_ - free_list_.size();
+}
+
 uint64_t KvBlockPool::exhaustion_events() const {
   const std::lock_guard lock(mutex_);
   return exhaustion_events_;
@@ -106,7 +111,6 @@ uint32_t KvBlockPool::pop_one_locked(KvPoolCredit* credit, bool skip_zero) {
   block_credit_[b] = credit;
   if (credit != nullptr) {
     credit->live += 1;
-    credit->peak = std::max(credit->peak, credit->live);
     credit_outstanding_ -= 1;
   }
   // Lazy re-zeroing: a recycled block is scrubbed on its first hand-out
@@ -186,73 +190,52 @@ bool KvBlockPool::try_reserve(size_t n, std::vector<uint32_t>& out,
   return take_retry_locked(n, out, credit, skip_zero);
 }
 
-void KvBlockPool::wait_for_blocks_locked(std::unique_lock<std::mutex>& lock,
-                                         size_t n) {
-  while (n > uncommitted_free_locked()) {
-    size_t freed = 0;
-    if (reclaim_hook_) {
-      // Drain the reclaim hook before parking: when the shortfall is
-      // backed by cold cache blocks, nobody else would ever free them —
-      // parking would deadlock. Re-checked after every wake too, since a
-      // retiring sequence may hand its blocks to the cache (refcount
-      // drop) rather than the free list.
-      lock.unlock();
-      freed = reclaim_hook_(n);
-      lock.lock();
-    }
-    if (freed == 0) freed_.wait(lock);
-  }
-}
-
 void KvBlockPool::release(std::span<const uint32_t> blocks) {
   if (blocks.empty()) return;
-  {
-    const std::lock_guard lock(mutex_);
-    // Validate the whole span, marking seen ids as we go: one release
-    // call drops ONE reference per DISTINCT block (a cache's table never
-    // lists a block twice, so a duplicate WITHIN the span is always an
-    // over-release — even when other forks still hold references). Roll
-    // back before throwing: a bad or double-freed id must never leave a
-    // block both free-listed and still held by a cache — that alias
-    // would hand one block to two sequences, which then overwrite each
-    // other's K/V rows.
-    size_t marked = 0;
-    while (marked < blocks.size()) {
-      const uint32_t b = blocks[marked];
-      if (b >= num_blocks_ || ref_count_[b] == 0 || in_span_[b]) break;
-      in_span_[b] = 1;
-      --ref_count_[b];
-      ++marked;
-    }
-    if (marked != blocks.size()) {
-      const bool bad_id = blocks[marked] >= num_blocks_;
-      for (size_t i = 0; i < marked; ++i) {
-        ++ref_count_[blocks[i]];
-        in_span_[blocks[i]] = 0;
-      }
-      if (bad_id) {
-        throw std::invalid_argument("KvBlockPool::release: bad block id");
-      }
-      throw std::logic_error("KvBlockPool::release: double free");
-    }
-    for (uint32_t b : blocks) in_span_[b] = 0;
-    bool freed_any = false;
-    for (uint32_t b : blocks) {
-      if (ref_count_[b] == 0 && !is_free_[b]) {  // last holder let go
-        is_free_[b] = 1;
-        needs_zero_[b] = 1;  // scrubbed lazily at the next hand-out
-        if (block_credit_[b] != nullptr) {
-          block_credit_[b]->live -= 1;
-          block_credit_[b] = nullptr;
-          ++credit_outstanding_;  // headroom returns to the group
-        }
-        free_list_.push_back(b);
-        freed_any = true;
-      }
-    }
-    if (freed_any) note_occupancy_locked();
+  const std::lock_guard lock(mutex_);
+  // Validate the whole span, marking seen ids as we go: one release
+  // call drops ONE reference per DISTINCT block (a cache's table never
+  // lists a block twice, so a duplicate WITHIN the span is always an
+  // over-release — even when other forks still hold references). Roll
+  // back before throwing: a bad or double-freed id must never leave a
+  // block both free-listed and still held by a cache — that alias
+  // would hand one block to two sequences, which then overwrite each
+  // other's K/V rows.
+  size_t marked = 0;
+  while (marked < blocks.size()) {
+    const uint32_t b = blocks[marked];
+    if (b >= num_blocks_ || ref_count_[b] == 0 || in_span_[b]) break;
+    in_span_[b] = 1;
+    --ref_count_[b];
+    ++marked;
   }
-  freed_.notify_all();
+  if (marked != blocks.size()) {
+    const bool bad_id = blocks[marked] >= num_blocks_;
+    for (size_t i = 0; i < marked; ++i) {
+      ++ref_count_[blocks[i]];
+      in_span_[blocks[i]] = 0;
+    }
+    if (bad_id) {
+      throw std::invalid_argument("KvBlockPool::release: bad block id");
+    }
+    throw std::logic_error("KvBlockPool::release: double free");
+  }
+  for (uint32_t b : blocks) in_span_[b] = 0;
+  bool freed_any = false;
+  for (uint32_t b : blocks) {
+    if (ref_count_[b] == 0 && !is_free_[b]) {  // last holder let go
+      is_free_[b] = 1;
+      needs_zero_[b] = 1;  // scrubbed lazily at the next hand-out
+      if (block_credit_[b] != nullptr) {
+        block_credit_[b]->live -= 1;
+        block_credit_[b] = nullptr;
+        ++credit_outstanding_;  // headroom returns to the group
+      }
+      free_list_.push_back(b);
+      freed_any = true;
+    }
+  }
+  if (freed_any) note_occupancy_locked();
 }
 
 void KvBlockPool::fork_ref(std::span<const uint32_t> blocks) {
@@ -352,7 +335,6 @@ bool KvBlockPool::try_reserve_credit(KvPoolCredit& credit, size_t n) {
     if (trip) note_failpoint_locked();
     if (!trip && n <= uncommitted_free_locked()) {
       credit.limit = n;
-      credit.peak = 0;
       credit_outstanding_ += n;
       return true;
     }
@@ -367,35 +349,8 @@ bool KvBlockPool::try_reserve_credit(KvPoolCredit& credit, size_t n) {
   const std::lock_guard lock(mutex_);
   if (n > uncommitted_free_locked()) return false;
   credit.limit = n;
-  credit.peak = 0;
   credit_outstanding_ += n;
   return true;
-}
-
-bool KvBlockPool::reserve_credit_wait(KvPoolCredit& credit, size_t n) {
-  std::unique_lock lock(mutex_);
-  if (!configured()) {
-    throw std::logic_error(
-        "KvBlockPool::reserve_credit_wait: not configured");
-  }
-  if (credit.limit != 0 || credit.live != 0) {
-    throw std::logic_error(
-        "KvBlockPool::reserve_credit_wait: credit already in use");
-  }
-  if (n > num_blocks_) {
-    throw KvBlockExhausted(
-        "KvBlockPool::reserve_credit_wait: request exceeds pool size");
-  }
-  bool waited = false;
-  if (n > uncommitted_free_locked()) {
-    waited = true;
-    ++exhaustion_events_;  // once per backpressure episode
-    wait_for_blocks_locked(lock, n);
-  }
-  credit.limit = n;
-  credit.peak = 0;
-  credit_outstanding_ += n;
-  return waited;
 }
 
 void KvBlockPool::set_trace(TraceRecorder* trace) {
@@ -457,17 +412,13 @@ uint64_t KvBlockPool::failpoint_trips() const { return 0; }
 #endif
 
 void KvBlockPool::release_credit(KvPoolCredit& credit) {
-  {
-    const std::lock_guard lock(mutex_);
-    if (credit.live != 0) {
-      throw std::logic_error(
-          "KvBlockPool::release_credit: group still holds blocks");
-    }
-    credit_outstanding_ -= credit.limit;
-    credit.limit = 0;
-    credit.peak = 0;
+  const std::lock_guard lock(mutex_);
+  if (credit.live != 0) {
+    throw std::logic_error(
+        "KvBlockPool::release_credit: group still holds blocks");
   }
-  freed_.notify_all();  // the headroom is uncommitted again
+  credit_outstanding_ -= credit.limit;
+  credit.limit = 0;
 }
 
 // --- KvCache -----------------------------------------------------------------
@@ -579,10 +530,23 @@ bool KvCache::try_reserve_rows(size_t rows) {
     throw std::invalid_argument(
         "KvCache::try_reserve_rows: rows exceed capacity");
   }
-  if (!paged() || rows <= reserved_rows()) return true;
-  const size_t need =
-      util::ceil_div(rows, block_rows_) - block_table_.size();
-  return pool_->try_reserve(need, block_table_, credit_);
+  if (!paged()) return true;
+  if (rows > reserved_rows()) {
+    const size_t need =
+        util::ceil_div(rows, block_rows_) - block_table_.size();
+    if (!pool_->try_reserve(need, block_table_, credit_)) return false;
+  }
+  // Privatize now, not at the first scatter, so a reserving coordinator
+  // makes every write-triggered copy and decoding units never touch the
+  // pool. A copy the pool cannot back reads as an ordinary shortfall.
+  if (rows > len_) {
+    try {
+      ensure_rows_private(len_, rows - len_);
+    } catch (const KvBlockExhausted&) {
+      return false;
+    }
+  }
+  return true;
 }
 
 void KvCache::reserve_rows(size_t rows) {
@@ -782,13 +746,11 @@ void KvCache::ensure_rows_private(size_t pos, size_t n) {
   pool_->make_private_span(
       std::span<uint32_t>(block_table_.data() + first, last - first + 1),
       credit_);
-  // The hot-path payoff: once an append pass owns every block through
-  // the END of the table, later appends cannot hit a shared block —
-  // rows behind the frontier are never rewritten (begin_sequence
-  // re-arms the guard), table growth hands out private blocks, and a
-  // new fork re-sets the flag. Only the first scatter after a fork
-  // pays the pool lock; the other (layer, head) scatters of the same
-  // rows skip it.
+  // Once the rows through the END of the table are private, later
+  // reservations cannot hit a shared block — rows behind the frontier
+  // are never rewritten (begin_sequence re-arms the guard), table growth
+  // hands out private blocks, and a new fork re-sets the flag — so they
+  // skip the pool lock.
   if (last + 1 == block_table_.size()) maybe_shared_ = false;
 }
 
@@ -852,11 +814,6 @@ void KvCache::scatter_self(size_t layer, size_t head, size_t pos,
   if (pos + k.rows() > reserved_rows()) {
     throw std::logic_error("KvCache::scatter_self: rows not reserved");
   }
-  // Write-triggered copy: a fork must not scribble on blocks its
-  // siblings still read. Layer 0 / head 0 pays the copy; later
-  // (layer, head) writes of the same rows see refcount 1 and scatter in
-  // place.
-  ensure_rows_private(pos, k.rows());
   if (codec_ != nullptr) {
     for (size_t r = 0; r < k.rows(); ++r) {
       encode_row(*codec_, k.row(r).data(), head_dim_,

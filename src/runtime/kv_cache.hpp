@@ -30,10 +30,10 @@
 // Paged blocks are refcounted, which buys copy-on-write FORKING: a cache
 // can adopt another's block table by bumping refcounts (fork = O(block
 // table), no K/V bytes move), and the first divergent append into a
-// still-shared block copies just that block. Beam search and parallel
-// sampling fork K branches off one prefill at near-1x prompt footprint.
-// A KvPoolCredit reserves a fork group's COW-aware worst case at
-// admission so shared-pool backpressure stays deadlock-free.
+// still-shared block copies just that block. Beam search forks K
+// branches off one prefill at near-1x prompt footprint. A KvPoolCredit
+// reserves a fork group's COW-aware worst case when the serving engine
+// admits it, so the group's later takes never come up short.
 //
 // Per-step bookkeeping is still two integers (len, memory_len) plus the
 // block table; steady-state decoding never touches the heap (the block
@@ -43,7 +43,6 @@
 // sequence and admits another.
 #pragma once
 
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -72,28 +71,29 @@ class KvBlockExhausted : public std::runtime_error {
 /// Admission credit for a GROUP of caches that fork blocks among each
 /// other (a beam-search group): reserves worst-case HEADROOM in the pool
 /// without naming blocks, so the group's later takes — fresh blocks and
-/// write-triggered COW copies alike — are guaranteed to succeed without
-/// waiting. That is what keeps shared-pool backpressure deadlock-free for
-/// forked workloads: the group waits only at admission, holding nothing.
+/// write-triggered COW copies alike — are guaranteed to succeed. The
+/// serving engine acquires it without blocking (try_reserve_credit) when
+/// it admits or restores a group; a group that cannot get it stays
+/// queued holding nothing, so forked workloads never wedge the pool.
 ///
 /// `live` counts the group's UNIQUE blocks (a block forked K ways counts
-/// once — the whole point of COW accounting); `peak` is its high-water
-/// mark. A credited take beyond `limit` throws std::logic_error: the
-/// caller's worst-case bound was wrong, and the pool fails loudly instead
-/// of silently eating another group's reservation. The credit must
-/// outlive every block taken against it and every cache bound to it.
+/// once — the whole point of COW accounting). A credited take beyond
+/// `limit` throws std::logic_error: the caller's worst-case bound was
+/// wrong, and the pool fails loudly instead of silently eating another
+/// group's reservation. The credit must outlive every block taken
+/// against it and every cache bound to it.
 struct KvPoolCredit {
   size_t limit = 0;  // admission reservation (unique blocks)
   size_t live = 0;   // unique blocks currently held by the group
-  size_t peak = 0;   // high-water mark of live since the reservation
 };
 
 /// Fixed-size block allocator for paged self K/V. All blocks are carved
 /// from one private WorkspaceArena at configure() and recycled through a
 /// free list; allocation is all-or-nothing (a partially-reserved sequence
 /// would deadlock against another one). Thread-safe: sessions on
-/// different threads share one pool, and reserve_credit_wait() parks a
-/// fork group until a finishing sequence releases enough headroom.
+/// different threads share one pool. Nothing blocks: a short take
+/// returns false and the caller (the serving engine's coordinator)
+/// decides whether to preempt, wait a round or shed.
 ///
 /// Blocks are REFCOUNTED for copy-on-write forking: fork_ref() lets a
 /// second cache adopt a block (refcount bump — no K/V bytes move) and
@@ -132,8 +132,12 @@ class KvBlockPool {
   size_t used_blocks() const;
   /// Blocks currently shared by two or more holders (refcount >= 2).
   size_t shared_blocks() const;
-  /// High-water mark of concurrently-held blocks since configure().
+  /// High-water mark of concurrently-held blocks since configure() or
+  /// the last reset_peak().
   size_t peak_used_blocks() const;
+  /// Restarts the high-water mark at the current occupancy, so a serving
+  /// run reports its own peak rather than its sessions' warm-up takes.
+  void reset_peak();
   /// All-or-nothing reservations that found the pool short (each is one
   /// backpressure event: the caller waited or deferred admission).
   uint64_t exhaustion_events() const;
@@ -152,8 +156,7 @@ class KvBlockPool {
   bool try_reserve(size_t n, std::vector<uint32_t>& out,
                    KvPoolCredit* credit = nullptr, bool skip_zero = false);
   /// Drops one reference per listed block; a block whose last reference
-  /// goes returns to the free list (marked for lazy re-zeroing) and wakes
-  /// blocked reservers.
+  /// goes returns to the free list (marked for lazy re-zeroing).
   void release(std::span<const uint32_t> blocks);
 
   /// COW fork: adds one reference to each listed block (no bytes move).
@@ -184,11 +187,6 @@ class KvBlockPool {
   /// the group's later (credited) takes never wait. `credit` must be
   /// idle (limit == live == 0).
   bool try_reserve_credit(KvPoolCredit& credit, size_t n);
-  /// Blocking form of try_reserve_credit (parks until the headroom
-  /// exists); `n` must not exceed num_blocks(). Returns true when the
-  /// pool was short and the caller had to wait (ONE exhaustion event is
-  /// recorded for the episode).
-  bool reserve_credit_wait(KvPoolCredit& credit, size_t n);
   /// Returns unused headroom; the group must have released every block
   /// first (credit.live == 0).
   void release_credit(KvPoolCredit& credit);
@@ -198,13 +196,11 @@ class KvBlockPool {
   /// reservation finds the pool honestly short (injected failures do not
   /// fire it), the hook is invoked — with the pool mutex RELEASED — with
   /// the number of blocks wanted, asking the holder to free cold entries;
-  /// it returns how many blocks it released and the reservation retries.
-  /// Blocking reserves re-run the hook before every park and after every
-  /// wake, so a pool whose free space is entirely held by reclaimable
-  /// cache entries can never wedge a waiter. The hook may call back into
-  /// this pool (release/ref_count); it must NOT reserve. Bind/unbind
-  /// (nullptr) only while no other thread is using the pool, and unbind
-  /// before the hook's owner dies.
+  /// it returns how many blocks it released and the reservation retries
+  /// (admission credits too). The hook may call back into this pool
+  /// (release/ref_count); it must NOT reserve. Bind/unbind (nullptr) only
+  /// while no other thread is using the pool, and unbind before the
+  /// hook's owner dies.
   void set_reclaim_hook(std::function<size_t(size_t blocks_wanted)> hook) {
     reclaim_hook_ = std::move(hook);
   }
@@ -256,10 +252,6 @@ class KvBlockPool {
   /// SAME caller-visible attempt whose shortfall was already counted.
   bool take_retry_locked(size_t n, std::vector<uint32_t>& out,
                          KvPoolCredit* credit, bool skip_zero);
-  /// Runs the reclaim loop for a parked blocking reserve: drains the
-  /// hook (unlocking around the call) and parks only when the hook made
-  /// no progress, until `n` uncommitted blocks are free at once.
-  void wait_for_blocks_locked(std::unique_lock<std::mutex>& lock, size_t n);
   size_t uncommitted_free_locked() const {
     return free_list_.size() - credit_outstanding_;
   }
@@ -315,7 +307,6 @@ class KvBlockPool {
   std::function<size_t(size_t)> reclaim_hook_;
   TraceRecorder* trace_ = nullptr;  // telemetry sink, see set_trace()
   mutable std::mutex mutex_;
-  std::condition_variable freed_;
 };
 
 /// RAII holder for a KvPoolCredit reservation: the headroom is released
@@ -325,41 +316,20 @@ class KvBlockPool {
 /// cleanup guards inside the lease's scope.
 class KvCreditLease {
  public:
-  KvCreditLease() = default;
-  explicit KvCreditLease(KvBlockPool& pool) : pool_(&pool) {}
+  explicit KvCreditLease(KvBlockPool& pool) : pool_(pool) {}
   ~KvCreditLease() { release(); }
-  KvCreditLease(KvCreditLease&& other) noexcept
-      : pool_(other.pool_), credit_(other.credit_) {
-    other.pool_ = nullptr;
-    other.credit_ = KvPoolCredit{};
-  }
-  KvCreditLease& operator=(KvCreditLease&& other) noexcept {
-    if (this != &other) {
-      release();
-      pool_ = other.pool_;
-      credit_ = other.credit_;
-      other.pool_ = nullptr;
-      other.credit_ = KvPoolCredit{};
-    }
-    return *this;
-  }
   KvCreditLease(const KvCreditLease&) = delete;
   KvCreditLease& operator=(const KvCreditLease&) = delete;
 
-  bool try_acquire(size_t n) { return pool_->try_reserve_credit(credit_, n); }
-  /// Blocking acquire; returns true when the pool was short (one
-  /// backpressure episode).
-  bool acquire_wait(size_t n) { return pool_->reserve_credit_wait(credit_, n); }
+  bool try_acquire(size_t n) { return pool_.try_reserve_credit(credit_, n); }
   void release() {
-    if (pool_ != nullptr && credit_.limit != 0) {
-      pool_->release_credit(credit_);
-    }
+    if (credit_.limit != 0) pool_.release_credit(credit_);
   }
   bool held() const { return credit_.limit != 0; }
   KvPoolCredit* credit() { return &credit_; }
 
  private:
-  KvBlockPool* pool_ = nullptr;
+  KvBlockPool& pool_;
   KvPoolCredit credit_;
 };
 
@@ -441,8 +411,11 @@ class KvCache {
   std::span<const uint32_t> block_table() const { return block_table_; }
 
   /// Grows the block table to cover `rows` total rows (all-or-nothing;
-  /// never shrinks). Dense mode always succeeds. Returns false — taking
-  /// nothing — when the pool is short.
+  /// never shrinks) and makes the blocks rows [len(), rows) land in
+  /// private to this cache (the write-triggered copies of a forked
+  /// table happen here, before any append). Dense mode always succeeds.
+  /// Returns false when the pool is short: a short growth takes
+  /// nothing; growth that succeeded before a short copy stays held.
   bool try_reserve_rows(size_t rows);
   /// try_reserve_rows or throw KvBlockExhausted.
   void reserve_rows(size_t rows);
@@ -483,10 +456,11 @@ class KvCache {
   /// geometry): adopts the parent's sequence state, byte-copies the cross
   /// K/V prefix and — the O(block-table) part — adopts the parent's block
   /// table by bumping each block's refcount. No self K/V bytes move; the
-  /// first divergent append into a shared block triggers a copy-on-write
-  /// (see scatter_self). `eager_copy` instead materializes private copies
-  /// of every block at fork time — the bit-exact reference the COW path
-  /// is tested against. Any blocks this cache held are released first.
+  /// first reservation of a divergent row in a shared block copies it
+  /// (see try_reserve_rows). `eager_copy` instead materializes private
+  /// copies of every block at fork time — the bit-exact reference the
+  /// COW path is tested against. Any blocks this cache held are released
+  /// first.
   void fork_from(KvCache& parent, bool eager_copy = false);
   /// True when a fork may have left this cache's blocks shared (cleared
   /// when the cache drops its blocks).
@@ -517,12 +491,12 @@ class KvCache {
   }
 
   /// Copies the new K/V rows [pos, pos + k.rows()) of (layer, head) into
-  /// their blocks (paged mode only; rows must be reserved), re-encoding
-  /// through the storage codec when the format is not int8 (fp8: one
-  /// code byte per element; fp4: two nibbles packed per byte, low
-  /// nibble = even element). Writes respect forking: a target block
-  /// shared with another cache is first made private (write-triggered
-  /// copy), so a fork never scribbles on its siblings' prefix.
+  /// their blocks (paged mode only), re-encoding through the storage
+  /// codec when the format is not int8 (fp8: one code byte per element;
+  /// fp4: two nibbles packed per byte, low nibble = even element). The
+  /// rows must be reserved by try_reserve_rows since the table was last
+  /// forked: that made their blocks private, so a fork never scribbles
+  /// on its siblings' prefix.
   void scatter_self(size_t layer, size_t head, size_t pos,
                     tensor::ConstMatrixViewI8 k, tensor::ConstMatrixViewI8 v);
   /// Block-strided read view of rows [0, rows) of (layer, head) self K
@@ -532,7 +506,7 @@ class KvCache {
   /// bytes) the span-accepting engines consume in place. `runs` must hold
   /// max_self_span_runs(rows) entries. COW-safe by construction: reading
   /// never privatizes a block, so a fork sibling can stream a still-shared
-  /// prefix while scatter_self's write-triggered copies keep divergent
+  /// prefix while the write-triggered copies keep divergent
   /// appends out of it — the spans a sequence takes always resolve
   /// through its OWN table, never a sibling's post-divergence writes.
   /// For quantized storage the returned list carries the codec's dequant
@@ -601,8 +575,8 @@ class KvCache {
   std::vector<uint32_t> block_table_;
   KvPoolCredit* credit_ = nullptr;
   /// Fast-path guard for the write-triggered copy: true while an append
-  /// might hit a block shared with a fork sibling. Cleared once an
-  /// append pass has privatized through the END of the table (appends
+  /// might hit a block shared with a fork sibling. Cleared once a
+  /// reservation has privatized through the END of the table (appends
   /// only move forward, and fresh reservations are private), re-set by
   /// fork_from on both sides and re-armed by begin_sequence (in-place
   /// reuse rewinds the frontier over still-shared prefix blocks).

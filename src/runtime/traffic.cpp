@@ -10,6 +10,7 @@
 #include <utility>
 
 #include "accel/decoder_accelerator.hpp"
+#include "runtime/decode_policy.hpp"
 #include "runtime/module_gate.hpp"
 #include "runtime/prefix_cache.hpp"
 #include "runtime/telemetry.hpp"
@@ -76,13 +77,36 @@ struct Rank {
   }
 };
 
+/// One live beam's unit buffers (a per-member error slot too, so
+/// concurrent member units never write the same one).
+struct BeamMember {
+  tensor::MatrixF next, state;  // pending token embedding, decode output
+  std::exception_ptr error;
+};
+
+/// A beam Flight's extra state: the credit its sessions take every block
+/// against and its beam_width seats — live members first, in member
+/// order, then idle spares. The Flight sits in seats_ at the seat it was
+/// (re)admitted on; the others are borrowed.
+struct BeamGroup {
+  BeamGroup(KvBlockPool& pool, size_t width, size_t worst)
+      : lease(pool), worst_case(worst), seats(width), next_seats(width),
+        spare(width), adopter(width), members(width) {}
+
+  KvCreditLease lease;
+  size_t worst_case;  // blocks the lease reserves (COW-aware bound)
+  std::vector<size_t> seats;
+  std::vector<size_t> next_seats, spare, adopter;  // regroup scratch
+  std::vector<BeamMember> members;
+};
+
 /// CPU-side state of an admitted request. This is the part that SURVIVES
 /// preemption — block tables die, this does not — and it is exactly
 /// enough to restore bit-identically: the prompt rows (in the request),
 /// every decode input already fed (`fed`; replay re-prefills them
 /// without re-invoking the caller's stateful next_token), the pending
 /// not-yet-decoded token (`next`) and, for swap victims, the raw block
-/// bytes.
+/// bytes. A beam group rebuilds from its BeamSearch's token lists.
 struct Flight {
   const TrafficRequest* req = nullptr;
   TrafficResult* result = nullptr;
@@ -111,6 +135,7 @@ struct Flight {
   size_t swap_rows = 0;
   bool swapped = false;
   std::exception_ptr error;
+  std::unique_ptr<BeamGroup> group;  // beam requests only
 };
 
 /// Queue entry: a never-admitted arrival (flight == nullptr) or a
@@ -121,14 +146,30 @@ struct Waiting {
   bool wait_counted = false;  // one kv_block_waits per wait episode
 };
 
-/// One unit of compute for an active seat: the next prefill chunk or one
-/// decode step. This is the ONLY code that runs on worker threads; it
+/// A flight's prefill chunk or decode step, or one beam member's step.
+constexpr size_t kNoMember = SIZE_MAX;
+struct Unit {
+  Flight* f = nullptr;
+  GenerationSession* session = nullptr;
+  size_t member = kNoMember;
+};
+
+/// Runs one unit. This is the ONLY code that runs on worker threads; it
 /// never touches the pool beyond rows the coordinator pre-reserved, so
 /// it cannot throw KvBlockExhausted — any other exception is captured
-/// into the flight and handled serially.
-void run_unit(Flight& f, GenerationSession& session, StageGate* gate,
-              size_t chunk) noexcept {
+/// into the flight (or the beam member) and handled serially. Beam
+/// members write disjoint sessions, buffers and logits rows.
+void run_unit(const Unit& u, StageGate* gate, size_t chunk) noexcept {
+  Flight& f = *u.f;
+  GenerationSession& session = *u.session;
   try {
+    if (u.member != kNoMember) {
+      BeamMember& m = f.group->members[u.member];
+      f.req->beam->embed_pending(u.member, m.next);
+      session.decode_step(m.next, m.state, gate);
+      f.req->beam->score(u.member, m.state.row(0));
+      return;
+    }
     if (f.needs_begin) {
       session.prefill_begin(*f.req->gen.memory, gate);
       f.needs_begin = false;
@@ -147,6 +188,10 @@ void run_unit(Flight& f, GenerationSession& session, StageGate* gate,
       f.prefill_pos += n;
       if (f.prefill_pos < t_rows) return;
       f.prefilling = false;
+      if (f.group != nullptr) {
+        f.req->beam->score(0, f.result->states.row(t_rows - 1));
+        return;
+      }
       f.done =
           f.req->gen.max_new_tokens == 0 ||
           !f.req->gen.next_token(f.result->states.row(t_rows - 1), f.next);
@@ -167,8 +212,14 @@ void run_unit(Flight& f, GenerationSession& session, StageGate* gate,
       if (!f.done && session.position() >= session.capacity()) f.done = true;
     }
   } catch (...) {
-    f.error = std::current_exception();
+    (u.member == kNoMember ? f.error : f.group->members[u.member].error) =
+        std::current_exception();
   }
+}
+
+/// Seats a request occupies while admitted: its beam width, else one.
+size_t seats_of(const TrafficRequest& r) {
+  return r.beam != nullptr ? r.beam->options().beam_width : 1;
 }
 
 /// The single coordinator behind both modes. Rounds are the engine's
@@ -194,7 +245,9 @@ class Coordinator {
         tel_(opts.telemetry != nullptr && opts.telemetry->enabled()
                  ? opts.telemetry
                  : nullptr) {
-    const size_t slots = std::min(opts.slots, requests.size());
+    size_t demand = 0;
+    for (const TrafficRequest& r : requests) demand += seats_of(r);
+    const size_t slots = std::min(opts.slots, demand);
     const GenerationOptions session_opts{
         .kv_block_rows = pool.block_rows(),
         .kv_pool = &pool,
@@ -206,6 +259,9 @@ class Coordinator {
           config, model, nullptr, session_opts));
     }
     seats_.resize(slots);
+    borrowed_.assign(slots, 0);
+    free_seats_.reserve(slots);
+    units_.reserve(slots);
 
     if (opts.threads > 1) {
       const size_t workers = std::min(opts.threads, slots);
@@ -236,8 +292,10 @@ class Coordinator {
   }
 
   void run() {
-    // Arm the fault schedule AFTER session construction: warm-up takes
-    // are uncredited too and would silently consume the skip window.
+    // The peak, the fault schedule and the trace all start AFTER session
+    // construction: warm-up takes are not part of the run (and, being
+    // uncredited, would silently consume the failpoint skip window).
+    pool_.reset_peak();
     uint64_t trips_before = 0;
     if (opts_.fail_skip > 0 || opts_.fail_count > 0) {
       trips_before = pool_.failpoint_trips();
@@ -311,16 +369,21 @@ class Coordinator {
                 deadline_of(index), requests_[index].arrival_round, index};
   }
 
+  bool seat_free(size_t s) const { return !seats_[s] && !borrowed_[s]; }
+
   size_t active_count() const {
     size_t n = 0;
-    for (const auto& s : seats_) n += s != nullptr;
+    for (size_t s = 0; s < seats_.size(); ++s) n += !seat_free(s);
     return n;
   }
 
+  /// A group's result keeps its prompt rows only (its output is the
+  /// BeamSearch's hypotheses).
   void finalize_states(Flight& f) const {
-    const size_t rows = f.prefilling
-                            ? f.prefill_pos
-                            : f.req->gen.prefix.rows() + f.result->steps;
+    const size_t rows =
+        f.prefilling ? f.prefill_pos
+                     : f.req->gen.prefix.rows() +
+                           (f.group != nullptr ? 0 : f.result->steps);
     if (f.result->states.rows() != rows) {
       f.result->states =
           rows == 0 ? tensor::MatrixF() : f.result->states.slice_rows(0, rows);
@@ -380,8 +443,86 @@ class Coordinator {
   }
 
   void clear_seat(size_t s) {
-    sessions_[s]->end_sequence();
+    if (seats_[s]->group != nullptr) {
+      release_group(*seats_[s]->group);
+    } else {
+      sessions_[s]->end_sequence();
+    }
     seats_[s].reset();
+  }
+
+  // --- beam groups -------------------------------------------------------------
+
+  /// The COW-aware worst case: covers every later take of a group.
+  size_t group_worst_case(const TrafficRequest& req) const {
+    return beam_worst_case_blocks(req.gen.prefix.rows(),
+                                  req.gen.max_new_tokens, seats_of(req),
+                                  pool_.block_rows());
+  }
+
+  bool acquire_credit(BeamGroup& g, const Rank& r, size_t exclude) {
+    return reserve_with_preemption(
+        r, exclude, [&] { return g.lease.try_acquire(g.worst_case); });
+  }
+
+  /// Seats a group on free_seats_, its sessions bound to its credit.
+  void seat_group(BeamGroup& g) {
+    std::copy(free_seats_.begin(), free_seats_.end(), g.seats.begin());
+    for (size_t i = 0; i < g.seats.size(); ++i) {
+      sessions_[g.seats[i]]->bind_kv_credit(g.lease.credit());
+      borrowed_[g.seats[i]] = i > 0;
+    }
+  }
+
+  /// Frees the group's seats and blocks, then its credit (in that order).
+  void release_group(BeamGroup& g) {
+    for (const size_t seat : g.seats) {
+      sessions_[seat]->end_sequence();
+      sessions_[seat]->bind_kv_credit(nullptr);
+      borrowed_[seat] = 0;
+    }
+    g.lease.release();
+  }
+
+  /// A group's selection round (after its prefill, then after each
+  /// member round) and the member rebuild: the first pick of a source
+  /// keeps that source's seat and session; unpicked sources end, and
+  /// each further pick COW-forks its source into a freed seat. A failed
+  /// member unit fails the whole group.
+  void settle_group(Flight& f) {
+    BeamGroup& g = *f.group;
+    BeamSearch& beam = *f.req->beam;
+    const size_t live = beam.live();
+    for (size_t i = 0; i < live && !f.error; ++i) {
+      std::swap(f.error, g.members[i].error);
+    }
+    if (f.error) return;
+    const auto picks = beam.select();
+    std::fill(g.adopter.begin(), g.adopter.begin() + live, kNoMember);
+    for (size_t i = 0; i < picks.size(); ++i) {
+      size_t& a = g.adopter[picks[i].source];
+      if (a == kNoMember) a = i;
+    }
+    size_t spares = 0;
+    for (size_t j = 0; j < g.seats.size(); ++j) {
+      if (j < live && g.adopter[j] != kNoMember) continue;
+      if (j < live) sessions_[g.seats[j]]->end_sequence();
+      g.spare[spares++] = g.seats[j];
+    }
+    for (size_t i = 0; i < picks.size(); ++i) {
+      const size_t src = picks[i].source;
+      if (g.adopter[src] == i) {
+        g.next_seats[i] = g.seats[src];
+      } else {
+        g.next_seats[i] = g.spare[--spares];
+        sessions_[g.next_seats[i]]->fork_from(*sessions_[g.seats[src]]);
+      }
+    }
+    std::copy(g.spare.begin(), g.spare.begin() + spares,
+              g.next_seats.begin() + picks.size());
+    std::swap(g.seats, g.next_seats);
+    f.result->steps = beam.generated() - 1;
+    f.done = beam.done();
   }
 
   // --- preemption ------------------------------------------------------------
@@ -390,7 +531,9 @@ class Coordinator {
   /// and recomputing)? Kept in one place so the victim-cost model and
   /// the actual eviction can never disagree.
   bool would_swap(size_t s) const {
-    return opts_.recovery != PreemptionRecovery::kRecompute &&
+    // Groups share blocks among their members, which swap_out refuses.
+    return seats_[s]->group == nullptr &&
+           opts_.recovery != PreemptionRecovery::kRecompute &&
            swapped_count_ < opts_.swap_slots &&
            !sessions_[s]->cache().maybe_shared();
   }
@@ -400,13 +543,18 @@ class Coordinator {
   /// Pure arithmetic over deterministic state (cached rows, memory
   /// length, swap-slot occupancy), so stepped and threaded runs agree.
   double preemption_cost_of(size_t s) const {
-    const size_t rows = sessions_[s]->position();
+    const Flight& f = *seats_[s];
+    const size_t rows =
+        sessions_[f.group != nullptr ? f.group->seats[0] : s]->position();
     if (rows == 0) return 0.0;
     const accel::PreemptionCost c = accel::estimate_preemption_cost(
         config_, model_.config, static_cast<uint32_t>(rows),
-        static_cast<uint32_t>(seats_[s]->req->gen.memory->rows()),
+        static_cast<uint32_t>(f.req->gen.memory->rows()),
         static_cast<uint32_t>(pool_.block_rows()), opts_.kv_storage);
-    return would_swap(s) ? c.swap_ms : c.recompute_ms;
+    // A group recomputes every live lineage (swap refuses shared tables).
+    const size_t lineages =
+        f.group == nullptr || f.prefilling ? 1 : f.req->beam->live();
+    return would_swap(s) ? c.swap_ms : lineages * c.recompute_ms;
   }
 
   /// Victim selection (SIZE_MAX: none). Only seats ranked strictly worse
@@ -458,7 +606,8 @@ class Coordinator {
   /// Evicts seat `s` back onto the waiting list at its original rank.
   /// Swap-out spills the block bytes (restored by rescatter); recompute
   /// releases everything (restored by re-prefilling the retained token
-  /// history). Both provably bit-identical at restore.
+  /// history). Both provably bit-identical at restore. A beam group is
+  /// one victim: every member sequence ends and its credit goes back.
   void preempt_seat(size_t s) {
     Flight& f = *seats_[s];
     GenerationSession& session = *sessions_[s];
@@ -467,8 +616,12 @@ class Coordinator {
     // cannot spill byte-wise — swap_out refuses maybe-shared tables —
     // so those victims always drop and recompute.
     const bool swap = would_swap(s);
-    const size_t cached_rows = session.position();
-    if (swap) {
+    const size_t cached_rows =
+        sessions_[f.group != nullptr ? f.group->seats[0] : s]->position();
+    if (f.group != nullptr) {
+      release_group(*f.group);
+      ++c.recomputes;
+    } else if (swap) {
       f.swap_rows = session.swap_out(f.swap_data);
       f.swapped = true;
       ++swapped_count_;
@@ -532,11 +685,21 @@ class Coordinator {
     const TrafficRequest& req = requests_[index];
     ++cls(index).submitted;
     // Reject-with-reason instead of queueing forever: a request whose
-    // worst case exceeds the whole pool could never be admitted.
+    // worst case exceeds the whole pool (or a group wider than the seats)
+    // could never be admitted.
+    if (seats_of(req) > seats_.size()) {
+      retire(index, TrafficOutcome::kShedCapacity,
+             "beam width " + std::to_string(seats_of(req)) +
+                 " exceeds slots (" + std::to_string(seats_.size()) + ")",
+             nullptr);
+      return;
+    }
     const size_t capacity = sessions_.front()->capacity();
     const size_t need = std::min<size_t>(
         req.gen.prefix.rows() + req.gen.max_new_tokens, capacity);
-    const size_t blocks = util::ceil_div(need, pool_.block_rows());
+    const size_t blocks = req.beam != nullptr
+                              ? group_worst_case(req)
+                              : util::ceil_div(need, pool_.block_rows());
     if (blocks > pool_.num_blocks()) {
       retire(index, TrafficOutcome::kShedCapacity,
              "worst case " + std::to_string(blocks) + " blocks exceeds pool (" +
@@ -646,31 +809,24 @@ class Coordinator {
           best = wi;
         }
       }
+      const TrafficRequest& req = requests_[waiting_[best].index];
       const Rank r = rank_of(waiting_[best].index);
-
-      size_t s = SIZE_MAX;
-      for (size_t i = 0; i < seats_.size(); ++i) {
-        if (seats_[i] == nullptr) {
-          s = i;
+      if (req.beam != nullptr) {
+        // A group evicts nobody unless evicting could seat it whole.
+        const Room room = room_for(r);
+        if (room.seats < seats_of(req)) break;
+        if (room.blocks < group_worst_case(req)) {
+          note_kv_wait(waiting_[best]);
           break;
         }
       }
-      if (s == SIZE_MAX) {
-        if (!opts_.preemption) break;
-        const size_t victim = find_victim(r, SIZE_MAX);
-        if (victim == SIZE_MAX) break;  // every seat outranks us
-        preempt_seat(victim);  // appends to waiting_; index stays valid
-        s = victim;
+      if (!claim_seats(seats_of(req), r)) {
+        break;  // every occupied seat outranks us
       }
-
-      const bool ok = waiting_[best].flight != nullptr
-                          ? try_restore(best, s)
-                          : try_admit(best, s);
+      const bool ok = waiting_[best].flight != nullptr ? try_restore(best)
+                                                       : try_admit(best);
       if (!ok) {
-        if (!waiting_[best].wait_counted) {
-          ++cls(waiting_[best].index).kv_block_waits;
-          waiting_[best].wait_counted = true;
-        }
+        note_kv_wait(waiting_[best]);
         break;
       }
       waiting_.erase(waiting_.begin() + static_cast<ptrdiff_t>(best));
@@ -679,25 +835,87 @@ class Coordinator {
         std::max(stats_.max_active, static_cast<uint32_t>(active_count()));
   }
 
+  void note_kv_wait(Waiting& w) {
+    if (!w.wait_counted) {  // one wait per episode
+      ++cls(w.index).kv_block_waits;
+      w.wait_counted = true;
+    }
+  }
+
+  /// Seats and blocks to be had at rank `r`: what is free now plus what
+  /// evicting every seat find_victim may pick would free (a victim group
+  /// its whole credit, a plain victim at most its block table). Cold
+  /// prefix-cache blocks count: the pool's reclaim hook frees them
+  /// before a take fails. Probed before anyone is evicted, so a request
+  /// that cannot fit preempts nobody.
+  struct Room {
+    size_t seats = 0;
+    size_t blocks = 0;
+  };
+  Room room_for(const Rank& r) const {
+    Room room{0, pool_.uncommitted_free_blocks() +
+                     (pcache_ != nullptr ? pcache_->reclaimable_blocks() : 0)};
+    for (size_t s = 0; s < seats_.size(); ++s) {
+      room.seats += seat_free(s);
+      const Flight* f = seats_[s].get();
+      if (f == nullptr || !opts_.preemption || f->unit_ready ||
+          !(r < f->rank)) {
+        continue;
+      }
+      room.seats += seats_of(*f->req);
+      room.blocks += f->group != nullptr
+                         ? f->group->worst_case
+                         : sessions_[s]->cache().block_table().size();
+    }
+    return room;
+  }
+
+  /// Fills free_seats_ with `need` free seats, evicting strictly
+  /// worse-ranked victims while too few are free.
+  bool claim_seats(size_t need, const Rank& r) {
+    while (true) {
+      free_seats_.clear();
+      for (size_t i = 0; i < seats_.size() && free_seats_.size() < need;
+           ++i) {
+        if (seat_free(i)) free_seats_.push_back(i);
+      }
+      if (free_seats_.size() == need) return true;
+      if (!opts_.preemption) return false;
+      const size_t victim = find_victim(r, SIZE_MAX);
+      if (victim == SIZE_MAX) return false;
+      preempt_seat(victim);  // appends to waiting_; indices stay valid
+    }
+  }
+
   /// try_admit/try_restore take the WAITING-LIST INDEX, not a Waiting&:
   /// reserve_with_preemption can evict seats onto waiting_, and although
   /// the constructor pre-reserves enough capacity that push_back never
   /// reallocates, indexing (plus the heap-stable Flight) keeps these
-  /// correct even if that invariant ever changes.
-  bool try_admit(size_t best, size_t s) {
+  /// correct even if that invariant ever changes. Both seat on free_seats_.
+  bool try_admit(size_t best) {
     const uint32_t index = waiting_[best].index;
     const TrafficRequest& req = requests_[index];
+    const size_t s = free_seats_.front();
     GenerationSession& session = *sessions_[s];
     const size_t prefix = req.gen.prefix.rows();
-    // Optimistic admission: only the first prefill chunk up front, the
-    // rest grows on demand (preempting victims when the pool is short).
-    const size_t first = opts_.prefill_chunk == 0
-                             ? prefix
-                             : std::min(opts_.prefill_chunk, prefix);
     const Rank r = rank_of(index);
-    if (!reserve_with_preemption(
-            r, s, [&] { return session.try_reserve_rows(first); })) {
-      return false;
+    std::unique_ptr<BeamGroup> group;
+    if (req.beam != nullptr) {
+      // The whole worst case up front, without blocking (short: the
+      // group stays queued, holding nothing), so members never wait.
+      group = std::make_unique<BeamGroup>(pool_, seats_of(req),
+                                          group_worst_case(req));
+      if (!acquire_credit(*group, r, s)) return false;
+    } else {
+      // Optimistic admission: only the first prefill chunk up front, the
+      // rest grows on demand (preempting victims when the pool is short).
+      const size_t first = opts_.prefill_chunk == 0
+                               ? prefix
+                               : std::min(opts_.prefill_chunk, prefix);
+      if (!reserve_with_preemption(
+              r, s, [&] { return session.try_reserve_rows(first); })) {
+        return false;
+      }
     }
     auto f = std::make_unique<Flight>();
     f->req = &req;
@@ -705,11 +923,11 @@ class Coordinator {
     f->index = index;
     f->rank = r;
     f->deadline_round = deadline_of(index);
-    f->result->states = tensor::MatrixF(prefix + req.gen.max_new_tokens,
-                                        req.gen.prefix.cols());
-    if (req.gen.max_new_tokens > 0) {
-      f->fed =
-          tensor::MatrixF(req.gen.max_new_tokens, req.gen.prefix.cols());
+    const size_t decoded_rows = group != nullptr ? 0 : req.gen.max_new_tokens;
+    f->result->states =
+        tensor::MatrixF(prefix + decoded_rows, req.gen.prefix.cols());
+    if (decoded_rows > 0) {
+      f->fed = tensor::MatrixF(decoded_rows, req.gen.prefix.cols());
     }
     f->result->admitted_round = round_;
     f->wall_admit = watch_->milliseconds();
@@ -718,7 +936,12 @@ class Coordinator {
       tel_->trace.record(TraceEventType::kAdmit, index, wait, prefix);
       tel_->queue_wait_rounds->observe(wait);
     }
-    if (pcache_ != nullptr) {
+    if (group != nullptr) {
+      // Credited tables never adopt or publish cached blocks.
+      f->group = std::move(group);
+      f->published = true;
+      seat_group(*f->group);
+    } else if (pcache_ != nullptr) {
       // Coordinator-side adoption: copy cached cross projections (or
       // project and publish them on a miss), adopt the longest cached
       // prompt prefix by refcount, and start the prefill cursor past the
@@ -735,26 +958,12 @@ class Coordinator {
     return true;
   }
 
-  /// Could an uncredited take of `blocks` blocks (or the preemption
-  /// retry loop behind it) possibly succeed right now? Exact under the
-  /// coordinator's pool serialization — units never touch the pool —
-  /// except for armed failpoints, which the real take still consults.
-  bool reserve_could_succeed(size_t blocks, const Rank& r,
-                             size_t exclude) const {
-    // Cold prefix-cache blocks count as available: the pool's reclaim
-    // hook frees them before a take fails, so admission reclaims the
-    // cache before it would shed or preempt live work.
-    const size_t reclaimable =
-        pcache_ != nullptr ? pcache_->reclaimable_blocks() : 0;
-    if (blocks <= pool_.uncommitted_free_blocks() + reclaimable) return true;
-    return opts_.preemption && find_victim(r, exclude) != SIZE_MAX;
-  }
-
-  bool try_restore(size_t best, size_t s) {
+  bool try_restore(size_t best) {
     // The Flight lives on the heap behind waiting_[best].flight, so it
     // is stable across waiting_ growth; the Waiting slot itself is only
     // re-touched (by index) for the final hand-off.
     Flight& f = *waiting_[best].flight;
+    const size_t s = free_seats_.front();
     GenerationSession& session = *sessions_[s];
     uint64_t restore_path = 0;  // 0 swap-in, 1 re-prefill, 2 replay
     // The cross K/V is a pure function of the encoder memory: recompute
@@ -763,13 +972,16 @@ class Coordinator {
     // over the memory — so every path below secures (or at least
     // probes) the block reservation FIRST, keeping a failed attempt
     // cheap under sustained pool contention.
-    if (f.swapped) {
+    if (f.group != nullptr) {
+      if (!restore_group(f, s)) return false;
+      restore_path = f.prefilling ? 1 : 2;
+    } else if (f.swapped) {
       // prefill_begin must precede try_swap_in (begin_sequence rewinds
       // the cached length that swap-in re-establishes), so probe the
-      // pool before paying for the projection. The probe can only
-      // misfire on an armed failpoint, which the take below consults.
+      // pool before paying for the projection (the take below can still
+      // fail on an armed failpoint or a victim's blocks that others share).
       const size_t blocks = f.swap_data.size() / pool_.block_bytes();
-      if (!reserve_could_succeed(blocks, f.rank, s)) return false;
+      if (room_for(f.rank).blocks < blocks) return false;
       if (pcache_ != nullptr) {
         // Swap-in brings the self rows back byte-wise; only the cross
         // projections are owed, and the cache usually has them.
@@ -867,6 +1079,44 @@ class Coordinator {
     return true;
   }
 
+  /// Group recovery (always recompute): re-acquires credit and seats,
+  /// then restarts the prompt (a mid-prefill victim) or rebuilds every
+  /// live member — one prompt prefill, a COW fork per further member and
+  /// a prefill_rows replay of each member's cached tokens, bit-identical
+  /// by chunk invariance.
+  bool restore_group(Flight& f, size_t s) {
+    BeamGroup& g = *f.group;
+    if (!acquire_credit(g, f.rank, s)) return false;
+    seat_group(g);
+    GenerationSession& first = *sessions_[g.seats[0]];
+    first.prefill_begin(*f.req->gen.memory, nullptr);
+    if (f.prefilling) {  // the first seat's units restart the prompt
+      f.prefill_pos = 0;
+      return true;
+    }
+    const tensor::MatrixF& prompt = f.req->gen.prefix;
+    tensor::MatrixF scratch;
+    first.prefill_rows(prompt, scratch, nullptr);
+    const BeamSearch& beam = *f.req->beam;
+    for (size_t i = 1; i < beam.live(); ++i) {
+      sessions_[g.seats[i]]->fork_from(first);
+    }
+    uint64_t replayed = prompt.rows();
+    for (size_t i = 0; i < beam.live(); ++i) {
+      const auto tokens = beam.tokens(i);
+      if (tokens.size() < 2) continue;  // only the pending token so far
+      tensor::MatrixF fed(tokens.size() - 1, prompt.cols());
+      for (size_t t = 0; t + 1 < tokens.size(); ++t) {
+        const auto row = beam.vocab().embed->row(tokens[t]);
+        std::copy(row.begin(), row.end(), fed.row(t).begin());
+      }
+      sessions_[g.seats[i]]->prefill_rows(fed, scratch, nullptr);
+      replayed += fed.rows();
+    }
+    stats_.replayed_rows += replayed;
+    return true;
+  }
+
   /// Pre-reserves every runnable seat's rows for this round's unit (so
   /// units never touch the pool), then runs the units — serially in
   /// seat order, or fanned out over the worker pool behind the module
@@ -887,11 +1137,29 @@ class Coordinator {
       return seats_[a]->rank < seats_[b]->rank;
     });
     size_t ready = 0;
+    units_.clear();
     for (const size_t s : runnable_) {
       // A better-ranked seat earlier in this pass may have evicted us.
       if (seats_[s] == nullptr) continue;
       Flight& f = *seats_[s];
       const size_t prefix = f.req->gen.prefix.rows();
+      if (f.group != nullptr && !f.prefilling) {
+        // One row per live member. The credit covers every take, COW
+        // copies included: these never come up short or preempt anyone.
+        const size_t live = f.req->beam->live();
+        for (size_t i = 0; i < live; ++i) {
+          GenerationSession& member = *sessions_[f.group->seats[i]];
+          if (!member.try_reserve_rows(prefix + f.result->steps + 1)) {
+            throw std::logic_error("TrafficEngine: beam outgrew its credit");
+          }
+          units_.push_back(Unit{&f, &member, i});
+        }
+        stats_.decode_steps += live;
+        f.unit_ready = true;
+        runnable_[ready++] = s;
+        note_decode_step(f);
+        continue;
+      }
       size_t target;
       if (f.prefilling) {
         const size_t n =
@@ -914,6 +1182,7 @@ class Coordinator {
       f.stalled = false;
       f.unit_ready = true;
       runnable_[ready++] = s;
+      units_.push_back(Unit{&f, sessions_[s].get(), kNoMember});
       if (f.prefilling) {
         ++stats_.prefill_chunks;
         if (tel_ != nullptr) {
@@ -922,31 +1191,18 @@ class Coordinator {
         }
       } else {
         ++stats_.decode_steps;
-        if (tel_ != nullptr) {
-          tel_->trace.record(TraceEventType::kDecodeStep, f.index,
-                             f.result->steps, 0);
-          if (f.has_decoded) {
-            tel_->token_gap_rounds->observe(round_ - f.last_decode_round);
-          }
-          f.has_decoded = true;
-          f.last_decode_round = round_;
-        }
+        note_decode_step(f);
       }
     }
     runnable_.resize(ready);
     if (runnable_.empty()) return;
     progressed_ = true;
     if (workers_ == nullptr) {
-      for (const size_t s : runnable_) {
-        run_unit(*seats_[s], *sessions_[s], nullptr, opts_.prefill_chunk);
-      }
+      for (const Unit& u : units_) run_unit(u, nullptr, opts_.prefill_chunk);
     } else {
-      for (const size_t s : runnable_) {
-        Flight* f = seats_[s].get();
-        GenerationSession* session = sessions_[s].get();
-        workers_->submit([this, f, session] {
-          run_unit(*f, *session, gate_.get(), opts_.prefill_chunk);
-        });
+      for (const Unit& u : units_) {
+        workers_->submit(
+            [this, u] { run_unit(u, gate_.get(), opts_.prefill_chunk); });
       }
       workers_->wait_idle();
     }
@@ -963,7 +1219,20 @@ class Coordinator {
         tel_->ttft_us->observe(static_cast<uint64_t>(
             (watch_->milliseconds() - f.wall_admit) * 1e3));
       }
+      if (f.group != nullptr && !f.prefilling) settle_group(f);
     }
+  }
+
+  /// Telemetry for a flight's decode round (a group's counts once).
+  void note_decode_step(Flight& f) {
+    if (tel_ == nullptr) return;
+    tel_->trace.record(TraceEventType::kDecodeStep, f.index, f.result->steps,
+                       0);
+    if (f.has_decoded) {
+      tel_->token_gap_rounds->observe(round_ - f.last_decode_round);
+    }
+    f.has_decoded = true;
+    f.last_decode_round = round_;
   }
 
   void handle_unit_errors() {
@@ -1078,11 +1347,16 @@ class Coordinator {
   SchedulerStats& stats_;
   Telemetry* tel_;  // null when unset or unconfigured (inert)
 
-  std::vector<std::unique_ptr<GenerationSession>> sessions_;
+  // Flights before sessions, so on unwind the sessions die (releasing a
+  // group's blocks) before the group's credit lease does.
   std::vector<std::unique_ptr<Flight>> seats_;
   std::vector<Waiting> waiting_;
+  std::vector<std::unique_ptr<GenerationSession>> sessions_;
+  std::vector<uint8_t> borrowed_;  // a group's seat other than its first
+  std::vector<size_t> free_seats_;  // claim_seats result
   std::vector<uint32_t> arrival_order_;
   std::vector<size_t> runnable_;
+  std::vector<Unit> units_;
   size_t next_arrival_ = 0;
   size_t swapped_count_ = 0;
   size_t finished_ = 0;
@@ -1210,7 +1484,7 @@ std::vector<TrafficResult> TrafficEngine::run(
         "kv_pool_blocks + kv_block_rows)");
   }
   for (const TrafficRequest& r : requests) {
-    validate_generation_request(r.gen, model_.config, config_.synth);
+    validate_generation_request(r.gen, model_.config, config_.synth, r.beam);
   }
 
   KvBlockPool owned_pool;

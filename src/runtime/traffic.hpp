@@ -32,10 +32,18 @@
 // parking them forever; expired or cancelled requests stop cooperatively
 // at the next round boundary with their partial output intact.
 //
+// Beam search rides the same loop: a request carrying a BeamSearch is ONE
+// flight holding beam_width seats and a non-blocking COW-aware credit;
+// after its prefill and each round of member units the coordinator runs
+// the selection and adopts, COW-forks or ends members. It is one
+// preemption victim (recovered by re-prefill, re-fork and replay), and
+// beam_search_solo is its independent reference.
+//
 // Determinism: ONE coordinator drives rounds in both modes. Every pool
-// mutation — admission, growth, preemption, restore — happens serially
-// in the coordinator; threads > 1 only parallelizes the round's compute
-// units (one prefill chunk or decode step per active seat) over a worker
+// mutation — admission, growth, COW copies, forks, preemption, restore —
+// happens serially in the coordinator; threads > 1 only parallelizes the
+// round's compute units (one prefill chunk or decode step per active
+// seat, one decode step per live beam member) over a worker
 // pool bracketed by the MHA/FFN module gates. Outputs AND SchedulerStats
 // are therefore bit-identical between stepped and threaded runs (only
 // wall-clock fields differ), which is what makes the fault-injection
@@ -96,6 +104,11 @@ enum class PreemptionRecovery : uint32_t {
 /// One traffic request: a generation request plus its SLO envelope.
 struct TrafficRequest {
   GenerationRequest gen;
+  /// Beam search instead of gen.next_token (left empty; gen.prefix holds
+  /// the prompt, gen.max_new_tokens the beam's budget). Caller-owned,
+  /// reset() for the prompt; its hypotheses() are the output. Shed
+  /// kShedCapacity if wider than the slots or its worst case than the pool.
+  BeamSearch* beam = nullptr;
   TrafficPriority priority = TrafficPriority::kStandard;
   /// Virtual arrival time in scheduler rounds (deterministic; the
   /// coordinator fast-forwards idle gaps).
@@ -112,7 +125,8 @@ struct TrafficRequest {
 
 struct TrafficResult {
   /// Output states for the rows actually computed (prefix rows processed
-  /// so far + decode steps); empty when the request never ran.
+  /// so far + decode steps); empty when the request never ran. A beam
+  /// group keeps its prompt rows; its `steps` counts member rounds.
   tensor::MatrixF states;
   uint32_t steps = 0;
   TrafficOutcome outcome = TrafficOutcome::kPending;
@@ -211,7 +225,7 @@ struct SchedulerStats {
   uint64_t prefill_chunks = 0;
   uint64_t replayed_rows = 0;  // rows re-prefilled by drop-and-recompute
   uint64_t swap_bytes = 0;     // bytes spilled to the side buffer
-  uint64_t kv_blocks_peak = 0;
+  uint64_t kv_blocks_peak = 0;  // pool high-water mark during the run
   uint64_t failpoint_trips = 0;  // injected failures that fired this run
   /// Cross-request prefix cache (TrafficOptions::prefix_cache; all 0
   /// when off). Coordinator-serial, so deterministic in both modes.

@@ -1,9 +1,10 @@
 // Decode-policy subsystem: the logits pipeline (repetition penalty,
 // temperature, top-k, top-p), greedy/sampled TokenStreams plugged into
-// the UNCHANGED generation engine + scheduler (stepped == threaded token
-// for token, because all policy state is per-request), beam-vs-greedy
-// relationships, and the beam cycle model's MAC cross-check against the
-// executed engine schedule.
+// the serving engine (stepped == threaded token for token, because all
+// policy state is per-request), beam groups served by the same engine
+// (beam-vs-greedy relationships, engine preemption of a whole group
+// restoring to the beam_search_solo reference), and the beam cycle
+// model's MAC cross-check against the executed solo schedule.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -62,6 +63,43 @@ struct PolicyFixture {
     }
     vocab.head = &head;
     vocab.embed = &embed;
+  }
+
+  /// K+V bytes per cached row across the stack.
+  size_t kv_row_bytes() const {
+    return cfg.num_layers * cfg.num_heads * 2 * cfg.head_dim();
+  }
+
+  /// A beam request for `prompt`; resets `beam` for it.
+  runtime::TrafficRequest beam_request(runtime::BeamSearch& beam,
+                                       std::span<const uint32_t> prompt) {
+    beam.reset(prompt);
+    runtime::TrafficRequest req;
+    req.gen.prefix = embed_rows(prompt);
+    req.gen.memory = &memory;
+    req.gen.max_new_tokens = beam.options().max_new_tokens;
+    req.beam = &beam;
+    return req;
+  }
+
+  /// Serves `beam` for `prompt` alone on a TrafficEngine (4-row blocks,
+  /// a pool that fits its worst case) and returns its hypotheses.
+  std::vector<runtime::BeamHypothesis> serve_beam(
+      runtime::BeamSearch& beam, std::span<const uint32_t> prompt,
+      runtime::SchedulerStats* stats = nullptr) {
+    runtime::TrafficEngine engine(acfg, qd);
+    runtime::TrafficOptions opts;
+    opts.slots = beam.options().beam_width;
+    opts.kv_block_rows = 4;
+    opts.kv_pool_blocks = runtime::beam_worst_case_blocks(
+        prompt.size(), beam.options().max_new_tokens,
+        beam.options().beam_width, 4);
+    const std::vector<runtime::TrafficRequest> reqs = {
+        beam_request(beam, prompt)};
+    const auto results = engine.run(reqs, opts);
+    EXPECT_EQ(results[0].outcome, runtime::TrafficOutcome::kCompleted);
+    if (stats != nullptr) *stats = engine.last_run();
+    return beam.hypotheses();
   }
 
   /// Prompt token rows through the embedding table.
@@ -296,6 +334,18 @@ TEST(TokenStream, SchedulerSteppedAndThreadedEmitIdenticalStreams) {
 
 // --- beam search relationships ----------------------------------------------
 
+void expect_same_hypotheses(const std::vector<runtime::BeamHypothesis>& a,
+                            const std::vector<runtime::BeamHypothesis>& b,
+                            const char* what) {
+  ASSERT_EQ(a.size(), b.size()) << what;
+  for (size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].tokens, b[i].tokens) << what << " hypothesis " << i;
+    EXPECT_EQ(a[i].sum_logprob, b[i].sum_logprob) << what << " " << i;
+    EXPECT_EQ(a[i].score, b[i].score) << what << " " << i;
+    EXPECT_EQ(a[i].finished, b[i].finished) << what << " " << i;
+  }
+}
+
 TEST(BeamSearch, WidthOneWithNeutralShapingIsGreedy) {
   PolicyFixture fx;
   const std::vector<uint32_t> prompt = {4, 9};
@@ -305,9 +355,8 @@ TEST(BeamSearch, WidthOneWithNeutralShapingIsGreedy) {
   opts.beam_width = 1;
   opts.max_new_tokens = max_new;
   opts.length_penalty = 0.0f;
-  opts.kv_block_rows = 4;
-  runtime::BeamSearchDecoder beam(fx.acfg, fx.qd, fx.vocab, opts);
-  const auto hyps = beam.generate(prompt, fx.memory);
+  runtime::BeamSearch beam(opts, fx.vocab);
+  const auto hyps = fx.serve_beam(beam, prompt);
   ASSERT_EQ(hyps.size(), 1u);
 
   runtime::TokenStream greedy(runtime::DecodePolicy{}, fx.vocab, 16);
@@ -332,14 +381,13 @@ TEST(BeamSearch, WiderBeamNeverScoresBelowGreedyOnThisFixture) {
   base.beam_width = 1;
   base.max_new_tokens = 8;
   base.length_penalty = 0.0f;
-  base.kv_block_rows = 4;
-  runtime::BeamSearchDecoder greedy(fx.acfg, fx.qd, fx.vocab, base);
-  const auto g = greedy.generate(prompt, fx.memory);
+  runtime::BeamSearch greedy(base, fx.vocab);
+  const auto g = fx.serve_beam(greedy, prompt);
 
   runtime::BeamSearchOptions wide = base;
   wide.beam_width = 4;
-  runtime::BeamSearchDecoder beam(fx.acfg, fx.qd, fx.vocab, wide);
-  const auto b = beam.generate(prompt, fx.memory);
+  runtime::BeamSearch beam(wide, fx.vocab);
+  const auto b = fx.serve_beam(beam, prompt);
 
   ASSERT_FALSE(g.empty());
   ASSERT_FALSE(b.empty());
@@ -351,101 +399,167 @@ TEST(BeamSearch, WiderBeamNeverScoresBelowGreedyOnThisFixture) {
 }
 
 TEST(BeamSearch, LengthPenaltyPrefersLongerFinishes) {
-  // Pure scoring check: sum / ((5+len)/6)^alpha grows milder with alpha.
-  runtime::BeamSearchOptions opts;
-  const double sum = -10.0;
-  const auto norm = [](double alpha, size_t len) {
-    return std::pow((5.0 + static_cast<double>(len)) / 6.0, alpha);
-  };
-  EXPECT_GT(sum / norm(0.6, 8), sum / norm(0.0, 8));  // less negative
-  EXPECT_GT(norm(0.6, 8), norm(0.6, 2));
+  // Every returned hypothesis is scored sum / ((5 + len) / 6)^alpha over
+  // its OWN token count (EOS included), and every finished one ends on
+  // EOS. The EOS is a token the greedy path emits, so beams do finish.
+  PolicyFixture fx(16, 830);
+  const std::vector<uint32_t> prompt = {6, 1, 17};
+  runtime::TokenStream greedy(runtime::DecodePolicy{}, fx.vocab, 16);
+  greedy.reset(prompt);
+  runtime::GenerationSession session(fx.acfg, fx.qd);
+  tensor::MatrixF states, state, next;
+  session.prefill(fx.embed_rows(prompt), fx.memory, states);
+  greedy.next_token(states.row(states.rows() - 1), next);
+  for (int t = 0; t < 3; ++t) {
+    session.decode_step(next, state);
+    greedy.next_token(state.row(0), next);
+  }
+  const uint32_t eos = greedy.tokens()[2];
+
+  for (const float alpha : {0.0f, 0.6f}) {
+    runtime::BeamSearchOptions opts;
+    opts.beam_width = 4;
+    opts.max_new_tokens = 8;
+    opts.length_penalty = alpha;
+    opts.logits.eos_token = eos;
+    runtime::BeamSearch beam(opts, fx.vocab);
+    const auto hyps = runtime::beam_search_solo(fx.acfg, fx.qd, prompt,
+                                                fx.memory, beam, 4);
+    ASSERT_FALSE(hyps.empty());
+    size_t finished = 0;
+    for (const auto& h : hyps) {
+      ASSERT_FALSE(h.tokens.empty());
+      const double norm = std::pow(
+          (5.0 + static_cast<double>(h.tokens.size())) / 6.0,
+          static_cast<double>(alpha));
+      EXPECT_EQ(h.score, h.sum_logprob / norm) << "alpha " << alpha;
+      if (h.finished) {
+        ++finished;
+        EXPECT_EQ(h.tokens.back(), eos) << "alpha " << alpha;
+      }
+    }
+    EXPECT_GT(finished, 0u) << "alpha " << alpha;
+  }
 }
 
 TEST(BeamSearch, ValidatesOptionsAndPrompt) {
   PolicyFixture fx;
   runtime::BeamSearchOptions opts;
   opts.beam_width = 0;
-  EXPECT_THROW(
-      runtime::BeamSearchDecoder(fx.acfg, fx.qd, fx.vocab, opts),
-      std::invalid_argument);
-  opts = runtime::BeamSearchOptions{};
-  opts.kv_block_rows = 0;  // COW needs paging
-  EXPECT_THROW(
-      runtime::BeamSearchDecoder(fx.acfg, fx.qd, fx.vocab, opts),
-      std::invalid_argument);
+  EXPECT_THROW(runtime::BeamSearch(opts, fx.vocab), std::invalid_argument);
   opts = runtime::BeamSearchOptions{};
   opts.beam_width = 25;  // > vocab
-  EXPECT_THROW(
-      runtime::BeamSearchDecoder(fx.acfg, fx.qd, fx.vocab, opts),
-      std::invalid_argument);
+  EXPECT_THROW(runtime::BeamSearch(opts, fx.vocab), std::invalid_argument);
 
   opts = runtime::BeamSearchOptions{};
   opts.beam_width = 2;
   opts.max_new_tokens = 4;
-  runtime::BeamSearchDecoder dec(fx.acfg, fx.qd, fx.vocab, opts);
-  EXPECT_THROW(dec.generate({}, fx.memory), std::invalid_argument);
+  runtime::BeamSearch beam(opts, fx.vocab);
+  const std::vector<uint32_t> ok = {1, 2};
+  // COW forking needs paging, in the reference and in the engine.
+  EXPECT_THROW(runtime::beam_search_solo(fx.acfg, fx.qd, ok, fx.memory, beam,
+                                         /*kv_block_rows=*/0),
+               std::invalid_argument);
+  EXPECT_THROW(
+      runtime::beam_search_solo(fx.acfg, fx.qd, {}, fx.memory, beam),
+      std::invalid_argument);
   const std::vector<uint32_t> oob = {99};
-  EXPECT_THROW(dec.generate(oob, fx.memory), std::invalid_argument);
+  EXPECT_THROW(
+      runtime::beam_search_solo(fx.acfg, fx.qd, oob, fx.memory, beam),
+      std::invalid_argument);
   const std::vector<uint32_t> prompt(fx.cfg.seq_len, 1);
   // prompt + max_new > seq_len + 1 cannot be cached.
-  EXPECT_THROW(dec.generate(prompt, fx.memory), std::invalid_argument);
+  EXPECT_THROW(
+      runtime::beam_search_solo(fx.acfg, fx.qd, prompt, fx.memory, beam),
+      std::invalid_argument);
+
+  // The engine applies the same request checks.
+  runtime::TrafficEngine engine(fx.acfg, fx.qd);
+  runtime::TrafficOptions topts;
+  topts.kv_pool_blocks = 64;
+  topts.kv_block_rows = 4;
+  std::vector<runtime::TrafficRequest> reqs = {
+      fx.beam_request(beam, prompt)};
+  EXPECT_THROW(engine.run(reqs, topts), std::invalid_argument);
+  reqs = {fx.beam_request(beam, ok)};
+  reqs[0].gen.next_token = [](std::span<const float>, tensor::MatrixF&) {
+    return false;
+  };  // a request serves one policy
+  EXPECT_THROW(engine.run(reqs, topts), std::invalid_argument);
+  reqs = {fx.beam_request(beam, ok)};
+  reqs[0].gen.max_new_tokens = 3;  // differs from the beam's budget
+  EXPECT_THROW(engine.run(reqs, topts), std::invalid_argument);
+  reqs = {fx.beam_request(beam, ok)};
+  reqs[0].gen.prefix = fx.embed_rows(std::vector<uint32_t>{1, 2, 3});
+  EXPECT_THROW(engine.run(reqs, topts), std::invalid_argument);  // stale
+  reqs = {fx.beam_request(beam, ok)};
+  topts.kv_block_rows = 0;
+  EXPECT_THROW(engine.run(reqs, topts), std::invalid_argument);
 }
 
 TEST(BeamSearch, GroupPreemptRestoreIsBitIdentical) {
   PolicyFixture fx(16, 820);
   const std::vector<uint32_t> prompt = {3, 12, 6};
-  // K+V bytes per cached row across the stack: layers x heads x 2 x head_dim.
-  const size_t row_bytes = 2 * 4 * 2 * 12;
+  runtime::BeamSearchOptions opts;
+  opts.beam_width = 3;
+  opts.max_new_tokens = 6;
+  runtime::BeamSearch ref(opts, fx.vocab);
+  const auto want =
+      runtime::beam_search_solo(fx.acfg, fx.qd, prompt, fx.memory, ref, 4);
+  ASSERT_FALSE(want.empty());
 
-  for (const bool cow : {true, false}) {
-    runtime::BeamSearchOptions opts;
-    opts.beam_width = 3;
-    opts.max_new_tokens = 6;
-    opts.kv_block_rows = 4;
-    opts.cow = cow;
-    runtime::BeamSearchDecoder ref(fx.acfg, fx.qd, fx.vocab, opts);
-    const auto want = ref.generate(prompt, fx.memory);
-    ASSERT_FALSE(want.empty());
-    EXPECT_EQ(ref.last_run().group_preemptions, 0u);
+  // A batch-priority group on a pool of its worst case + 2 blocks. An
+  // interactive request arrives mid-decode whose first chunk needs 3
+  // blocks: it can only be admitted once the group has handed back its
+  // blocks AND its credit. The group then restores by re-prefill,
+  // re-fork and replay, and must still match the reference.
+  const size_t br = 4;
+  const size_t worst = runtime::beam_worst_case_blocks(
+      prompt.size(), opts.max_new_tokens, opts.beam_width, br);
+  runtime::KvBlockPool pool;
+  pool.configure(worst + 2, br, fx.kv_row_bytes());
 
-    // Same run against a shared pool, preempted once mid-decode: the
-    // whole group (blocks AND admission credit) drains back to the pool,
-    // then restores via re-prefill + re-fork + per-beam replay.
-    const size_t worst = runtime::beam_worst_case_blocks(
-        prompt.size(), opts.max_new_tokens, opts.beam_width,
-        opts.kv_block_rows, cow);
-    runtime::KvBlockPool pool;
-    pool.configure(worst + 2, opts.kv_block_rows, row_bytes);
-    opts.kv_pool = &pool;
-    bool fired = false;
-    uint32_t drained_checks = 0;
-    opts.preempt_point = [&fired](uint32_t generated) {
-      if (generated == 2 && !fired) {
-        fired = true;
-        return true;
-      }
-      return false;
-    };
-    opts.on_preempted = [&pool, &drained_checks] {
-      EXPECT_EQ(pool.used_blocks(), 0u);
-      ++drained_checks;
-    };
-    runtime::BeamSearchDecoder dec(fx.acfg, fx.qd, fx.vocab, opts);
-    const auto got = dec.generate(prompt, fx.memory);
+  runtime::BeamSearch beam(opts, fx.vocab);
+  std::vector<runtime::TrafficRequest> reqs;
+  reqs.push_back(fx.beam_request(beam, prompt));
+  reqs[0].priority = runtime::TrafficPriority::kBatch;
+  runtime::TokenStream stream(runtime::DecodePolicy{}, fx.vocab, 16);
+  const std::vector<uint32_t> long_prompt = {1, 2, 3, 4, 5, 6, 7, 8, 9};
+  stream.reset(long_prompt);
+  runtime::TrafficRequest urgent;
+  urgent.gen.prefix = fx.embed_rows(long_prompt);
+  urgent.gen.memory = &fx.memory;
+  urgent.gen.max_new_tokens = 2;
+  urgent.gen.next_token = stream.callback();
+  urgent.priority = runtime::TrafficPriority::kInteractive;
+  urgent.arrival_round = 3;
+  ASSERT_GT(util::ceil_div(long_prompt.size(), br), 2u);
+  const runtime::GenerationRequest urgent_gen = urgent.gen;
+  reqs.push_back(std::move(urgent));
 
-    EXPECT_EQ(drained_checks, 1u) << "cow=" << cow;
-    EXPECT_EQ(dec.last_run().group_preemptions, 1u) << "cow=" << cow;
-    EXPECT_GT(dec.last_run().replayed_rows, 0u) << "cow=" << cow;
-    ASSERT_EQ(got.size(), want.size()) << "cow=" << cow;
-    for (size_t i = 0; i < got.size(); ++i) {
-      EXPECT_EQ(got[i].tokens, want[i].tokens) << "cow=" << cow << " i=" << i;
-      EXPECT_EQ(got[i].sum_logprob, want[i].sum_logprob)
-          << "cow=" << cow << " i=" << i;
-      EXPECT_EQ(got[i].score, want[i].score) << "cow=" << cow << " i=" << i;
-      EXPECT_EQ(got[i].finished, want[i].finished)
-          << "cow=" << cow << " i=" << i;
-    }
-  }
+  runtime::TrafficEngine engine(fx.acfg, fx.qd);
+  runtime::TrafficOptions topts;
+  topts.slots = opts.beam_width + 1;  // seats never force the eviction
+  topts.kv_block_rows = br;
+  topts.kv_pool = &pool;
+  const auto results = engine.run(reqs, topts);
+  const auto& stats = engine.last_run();
+  ASSERT_EQ(results[0].outcome, runtime::TrafficOutcome::kCompleted);
+  ASSERT_EQ(results[1].outcome, runtime::TrafficOutcome::kCompleted);
+  EXPECT_GE(results[0].preemptions, 1u);
+  EXPECT_GE(stats.cls(runtime::TrafficPriority::kBatch).preemptions, 1u);
+  EXPECT_GT(stats.replayed_rows, 0u);
+  expect_same_hypotheses(beam.hypotheses(), want, "preempted group vs solo");
+  EXPECT_EQ(pool.used_blocks(), 0u);
+  EXPECT_EQ(pool.uncommitted_free_blocks(), pool.num_blocks());
+
+  // The interactive request's bits are its solo reference's.
+  runtime::TokenStream solo_stream(runtime::DecodePolicy{}, fx.vocab, 16);
+  solo_stream.reset(long_prompt);
+  runtime::GenerationRequest solo_gen = urgent_gen;
+  solo_gen.next_token = solo_stream.callback();
+  EXPECT_EQ(results[1].states,
+            runtime::generate_solo(fx.acfg, fx.qd, solo_gen).states);
 }
 
 // --- cycle-model cross-checks ------------------------------------------------
@@ -459,18 +573,22 @@ TEST(BeamPerfModel, EstimatedMacsMatchTheExecutedSchedule) {
   runtime::BeamSearchOptions opts;
   opts.beam_width = beam_width;
   opts.max_new_tokens = max_new;
-  opts.kv_block_rows = 4;
-  runtime::BeamSearchDecoder dec(fx.acfg, fx.qd, fx.vocab, opts);
-  (void)dec.generate(prompt, fx.memory);
+  runtime::BeamSearch beam(opts, fx.vocab);
+  accel::EngineStats solo_stats;
+  (void)runtime::beam_search_solo(fx.acfg, fx.qd, prompt, fx.memory, beam, 4,
+                                  &solo_stats);
 
   const auto estimate = accel::estimate_beam_generation_performance(
       fx.acfg, fx.cfg, static_cast<uint32_t>(prompt.size()),
       static_cast<uint32_t>(prompt.size()) + max_new, fx.memory.rows(),
       beam_width);
-  EXPECT_EQ(dec.last_run().macs, estimate.macs)
+  EXPECT_EQ(solo_stats.macs, estimate.macs)
       << "the cycle model must mirror the executed fork/step schedule";
-  EXPECT_EQ(dec.last_run().decode_steps,
-            uint64_t{beam_width} * (max_new - 1));
+
+  // The engine runs the same schedule: K member steps per round.
+  runtime::SchedulerStats engine_stats;
+  (void)fx.serve_beam(beam, prompt, &engine_stats);
+  EXPECT_EQ(engine_stats.decode_steps, uint64_t{beam_width} * (max_new - 1));
 
   // Beam cost scales with K on the step side only: prefill is shared.
   const auto k1 = accel::estimate_beam_generation_performance(

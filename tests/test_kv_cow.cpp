@@ -3,14 +3,20 @@
 // of fork() + divergent decode against an eager full-copy fork (and a
 // fresh replay) across randomized (T, block_size, fork point, width)
 // shapes, including fork-on-block-boundary and fork-then-free orderings.
-// Beam search rides the same machinery; its stepped and threaded modes
-// must emit identical hypotheses, and its executed block peak must stay
-// within the COW-aware reserve-at-admission bound.
+// Beam groups ride the same machinery inside TrafficEngine: COW groups
+// must match the eager-copy beam_search_solo reference, stepped and
+// threaded engine runs must agree on hypotheses, results and stats, the
+// executed block peak must stay within the COW-aware admission bound,
+// a group contending with plain requests for one pool must wait for
+// its credit without deadlocking, and a group that cannot be seated
+// whole must not preempt anyone.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstring>
-#include <thread>
+#include <memory>
+#include <span>
+#include <tuple>
 #include <vector>
 
 #include "accel/decoder_model.hpp"
@@ -18,6 +24,7 @@
 #include "runtime/decode_policy.hpp"
 #include "runtime/generation.hpp"
 #include "runtime/kv_cache.hpp"
+#include "runtime/traffic.hpp"
 #include "util/rng.hpp"
 
 namespace protea {
@@ -185,7 +192,6 @@ TEST(KvBlockPoolCow, AdmissionCreditReservesHeadroomAllOrNothing) {
   std::vector<uint32_t> mine;
   ASSERT_TRUE(pool.try_reserve(2, mine, &credit));
   EXPECT_EQ(credit.live, 2u);
-  EXPECT_EQ(credit.peak, 2u);
 
   // Exceeding the admission bound is a loud logic error, not a silent
   // raid on someone else's reservation.
@@ -197,7 +203,7 @@ TEST(KvBlockPoolCow, AdmissionCreditReservesHeadroomAllOrNothing) {
   mine.clear();
   EXPECT_EQ(credit.live, 0u);
   ASSERT_TRUE(pool.try_reserve(3, mine, &credit));
-  EXPECT_EQ(credit.peak, 3u);
+  EXPECT_EQ(credit.live, 3u);
   pool.release(mine);
   pool.release_credit(credit);
   EXPECT_EQ(credit.limit, 0u);
@@ -210,7 +216,7 @@ TEST(KvBlockPoolCow, AdmissionCreditReservesHeadroomAllOrNothing) {
   pool.release_credit(credit);
 }
 
-TEST(KvBlockPoolCow, CreditWaitersWakeWhenHeadroomReturns) {
+TEST(KvBlockPoolCow, CreditShortfallTakesNothingUntilHeadroomReturns) {
   runtime::KvBlockPool pool;
   pool.configure(3, 1, 4);
   std::vector<uint32_t> held;
@@ -219,20 +225,13 @@ TEST(KvBlockPoolCow, CreditWaitersWakeWhenHeadroomReturns) {
   runtime::KvPoolCredit credit;
   EXPECT_FALSE(pool.try_reserve_credit(credit, 3));  // short: backpressure
   EXPECT_GE(pool.exhaustion_events(), 1u);
+  EXPECT_EQ(credit.limit, 0u);  // a short reservation holds nothing
+  EXPECT_EQ(pool.uncommitted_free_blocks(), 1u);
 
-  std::thread releaser([&] { pool.release(held); });
-  pool.reserve_credit_wait(credit, 3);  // parks until the release lands
-  releaser.join();
+  pool.release(held);
+  ASSERT_TRUE(pool.try_reserve_credit(credit, 3));
   EXPECT_EQ(credit.limit, 3u);
   pool.release_credit(credit);
-
-  // An immediately-satisfied wait is not a backpressure episode: it
-  // returns false and records no exhaustion event.
-  const uint64_t events = pool.exhaustion_events();
-  runtime::KvPoolCredit quick;
-  EXPECT_FALSE(pool.reserve_credit_wait(quick, 2));
-  EXPECT_EQ(pool.exhaustion_events(), events);
-  pool.release_credit(quick);
 }
 
 // --- fork + divergent decode == eager copy == fresh replay ------------------
@@ -426,7 +425,7 @@ TEST(KvCow, ForkValidatesLayoutPoolAndGeometry) {
   EXPECT_THROW(o.fork_from(a), std::invalid_argument);
 }
 
-// --- beam search over COW forks ---------------------------------------------
+// --- beam groups over COW forks ---------------------------------------------
 
 struct BeamFixture {
   CowFixture fx;
@@ -446,6 +445,37 @@ struct BeamFixture {
     vocab.head = &head;
     vocab.embed = &embed;
   }
+
+  tensor::MatrixF embed_rows(std::span<const uint32_t> tokens) const {
+    tensor::MatrixF m(tokens.size(), fx.cfg.d_model);
+    for (size_t r = 0; r < tokens.size(); ++r) {
+      std::copy(embed.row(tokens[r]).begin(), embed.row(tokens[r]).end(),
+                m.row(r).begin());
+    }
+    return m;
+  }
+
+  /// A beam request for `prompt`; resets `beam` for it.
+  runtime::TrafficRequest beam_request(runtime::BeamSearch& beam,
+                                       std::span<const uint32_t> prompt) {
+    beam.reset(prompt);
+    runtime::TrafficRequest req;
+    req.gen.prefix = embed_rows(prompt);
+    req.gen.memory = &fx.memory;
+    req.gen.max_new_tokens = beam.options().max_new_tokens;
+    req.beam = &beam;
+    return req;
+  }
+
+  /// The eager-copy reference hypotheses for `prompt`.
+  std::vector<runtime::BeamHypothesis> solo(
+      const runtime::BeamSearchOptions& opts,
+      std::span<const uint32_t> prompt, size_t block_rows,
+      accel::EngineStats* stats = nullptr) const {
+    runtime::BeamSearch beam(opts, vocab);
+    return runtime::beam_search_solo(fx.acfg, fx.qd, prompt, fx.memory, beam,
+                                     block_rows, stats);
+  }
 };
 
 void expect_same_hypotheses(
@@ -460,121 +490,266 @@ void expect_same_hypotheses(
   }
 }
 
+/// Every deterministic SchedulerStats field (wall clock excluded).
+std::vector<runtime::StatSample> deterministic_stats(
+    const runtime::SchedulerStats& stats) {
+  auto samples = runtime::flatten_stats(stats);
+  std::erase_if(samples,
+                [](const runtime::StatSample& s) { return s.metric == "wall_ms"; });
+  return samples;
+}
+
 TEST(BeamSearchCow, CowMatchesEagerAndStaysWithinAdmissionBound) {
   BeamFixture bf(16, 570);
   const std::vector<uint32_t> prompt = {1, 2, 3, 4, 5, 6};
+  const size_t br = 2;
+  runtime::BeamSearchOptions opts;
+  opts.beam_width = 4;
+  opts.max_new_tokens = 8;
 
-  runtime::BeamSearchOptions cow_opts;
-  cow_opts.beam_width = 4;
-  cow_opts.max_new_tokens = 8;
-  cow_opts.kv_block_rows = 2;
-  cow_opts.cow = true;
-  runtime::BeamSearchDecoder cow_dec(bf.fx.acfg, bf.fx.qd, bf.vocab,
-                                     cow_opts);
-  const auto cow_hyps = cow_dec.generate(prompt, bf.fx.memory);
+  // COW group on the engine, against the eager-copy solo reference. The
+  // pool has room past the bound, so an overshoot would show in the peak.
+  const size_t worst = runtime::beam_worst_case_blocks(
+      prompt.size(), opts.max_new_tokens, opts.beam_width, br);
+  runtime::KvBlockPool pool;
+  pool.configure(2 * worst, br, bf.fx.row_bytes());
+  runtime::BeamSearch beam(opts, bf.vocab);
+  const std::vector<runtime::TrafficRequest> reqs = {
+      bf.beam_request(beam, prompt)};
+  runtime::TrafficEngine engine(bf.fx.acfg, bf.fx.qd);
+  runtime::TrafficOptions topts;
+  topts.slots = opts.beam_width;
+  topts.kv_block_rows = br;
+  topts.kv_pool = &pool;
+  const auto results = engine.run(reqs, topts);
+  ASSERT_EQ(results[0].outcome, runtime::TrafficOutcome::kCompleted);
 
-  runtime::BeamSearchOptions eager_opts = cow_opts;
-  eager_opts.cow = false;
-  runtime::BeamSearchDecoder eager_dec(bf.fx.acfg, bf.fx.qd, bf.vocab,
-                                       eager_opts);
-  const auto eager_hyps = eager_dec.generate(prompt, bf.fx.memory);
-
+  accel::EngineStats eager;
+  const auto want = bf.solo(opts, prompt, br, &eager);
   // The acceptance invariant: COW-forked beams emit tokens bit-identical
   // to eager-copy reference caches.
-  expect_same_hypotheses(cow_hyps, eager_hyps, "cow vs eager");
-  ASSERT_EQ(cow_hyps.size(), 4u);
+  expect_same_hypotheses(beam.hypotheses(), want, "engine cow vs solo eager");
+  ASSERT_EQ(want.size(), 4u);
 
   // Sharing actually happened, within the reserve-at-admission bound.
-  const auto& cs = cow_dec.last_run();
-  const auto& es = eager_dec.last_run();
-  EXPECT_GT(cs.cow_copies, 0u);
-  EXPECT_GT(cs.forks, 0u);
-  EXPECT_LE(cs.kv_blocks_peak, cs.worst_case_blocks);
-  EXPECT_LE(es.kv_blocks_peak, es.worst_case_blocks);
-  EXPECT_LT(cs.kv_blocks_peak, es.kv_blocks_peak)
+  const size_t cow_peak = engine.last_run().kv_blocks_peak;
+  EXPECT_GT(pool.cow_copies(), 0u);
+  EXPECT_LE(cow_peak, worst);
+  EXPECT_LT(worst, eager.kv_blocks_peak)
       << "COW should hold fewer unique blocks than eager copies";
   // K beams at near-1x prompt footprint: unique prompt+tail blocks stay
   // well under K private lineages.
   const size_t dense_equiv =
-      4 * ((prompt.size() + cow_opts.max_new_tokens - 1 + 1) / 2);
-  EXPECT_LT(cs.kv_blocks_peak, dense_equiv);
-  EXPECT_EQ(cow_dec.pool().used_blocks(), 0u);  // fully drained
+      4 * ((prompt.size() + opts.max_new_tokens - 1 + 1) / 2);
+  EXPECT_LT(cow_peak, dense_equiv);
+  EXPECT_EQ(pool.used_blocks(), 0u);  // fully drained
+  EXPECT_EQ(pool.uncommitted_free_blocks(), pool.num_blocks());
 }
 
 TEST(BeamSearchCow, SteppedAndThreadedModesAreBitIdentical) {
   BeamFixture bf(14, 580);
   const std::vector<uint32_t> prompt = {3, 1, 4};
+  runtime::BeamSearchOptions opts;
+  opts.beam_width = 4;
+  opts.max_new_tokens = 7;
+  const auto want = bf.solo(opts, prompt, 3);
 
-  runtime::BeamSearchOptions stepped;
-  stepped.beam_width = 4;
-  stepped.max_new_tokens = 7;
-  stepped.kv_block_rows = 3;
-  stepped.threads = 1;
-  runtime::BeamSearchDecoder a(bf.fx.acfg, bf.fx.qd, bf.vocab, stepped);
-
-  runtime::BeamSearchOptions threaded = stepped;
-  threaded.threads = 3;
-  runtime::BeamSearchDecoder b(bf.fx.acfg, bf.fx.qd, bf.vocab, threaded);
-
-  for (int run = 0; run < 2; ++run) {  // decoder reuse is clean too
-    const auto ha = a.generate(prompt, bf.fx.memory);
-    const auto hb = b.generate(prompt, bf.fx.memory);
+  // A group beside two plain greedy streams; threads only change who
+  // runs the units, so hypotheses, results and stats all agree.
+  const auto run = [&](runtime::TrafficEngine& engine,
+                       runtime::BeamSearch& beam, size_t threads) {
+    std::vector<std::unique_ptr<runtime::TokenStream>> streams;
+    std::vector<runtime::TrafficRequest> reqs;
+    reqs.push_back(bf.beam_request(beam, prompt));
+    for (uint32_t i = 0; i < 2; ++i) {
+      const std::vector<uint32_t> p = {i + 5, 2 * i + 1};
+      streams.push_back(std::make_unique<runtime::TokenStream>(
+          runtime::DecodePolicy{}, bf.vocab, 16));
+      streams.back()->reset(p);
+      runtime::TrafficRequest req;
+      req.gen.prefix = bf.embed_rows(p);
+      req.gen.memory = &bf.fx.memory;
+      req.gen.max_new_tokens = 5;
+      req.gen.next_token = streams.back()->callback();
+      req.arrival_round = i;
+      reqs.push_back(std::move(req));
+    }
+    runtime::TrafficOptions topts;
+    topts.slots = 6;
+    topts.threads = threads;
+    topts.kv_block_rows = 3;
+    topts.kv_pool_blocks = 32;
+    auto results = engine.run(reqs, topts);
+    for (const auto& r : results) {
+      EXPECT_EQ(r.outcome, runtime::TrafficOutcome::kCompleted);
+    }
+    return std::make_tuple(beam.hypotheses(), std::move(results),
+                           deterministic_stats(engine.last_run()));
+  };
+  // The second repetition reuses each engine and reset()s each beam.
+  runtime::TrafficEngine stepped(bf.fx.acfg, bf.fx.qd);
+  runtime::TrafficEngine threaded(bf.fx.acfg, bf.fx.qd);
+  runtime::BeamSearch stepped_beam(opts, bf.vocab);
+  runtime::BeamSearch threaded_beam(opts, bf.vocab);
+  for (int rep = 0; rep < 2; ++rep) {
+    const auto [ha, ra, sa] = run(stepped, stepped_beam, 1);
+    const auto [hb, rb, sb] = run(threaded, threaded_beam, 3);
     expect_same_hypotheses(ha, hb, "stepped vs threaded");
+    expect_same_hypotheses(ha, want, "engine vs solo");
+    ASSERT_EQ(ra.size(), rb.size());
+    for (size_t i = 0; i < ra.size(); ++i) {
+      EXPECT_EQ(ra[i].states, rb[i].states) << i;
+      EXPECT_EQ(ra[i].steps, rb[i].steps) << i;
+      EXPECT_EQ(ra[i].admitted_round, rb[i].admitted_round) << i;
+      EXPECT_EQ(ra[i].retired_round, rb[i].retired_round) << i;
+    }
+    ASSERT_EQ(sa.size(), sb.size());
+    for (size_t i = 0; i < sa.size(); ++i) {
+      EXPECT_EQ(sa[i].metric, sb[i].metric);
+      EXPECT_EQ(sa[i].value, sb[i].value) << sa[i].metric;
+    }
   }
 }
 
 TEST(BeamSearchCow, SharedPoolAdmissionWaitsInsteadOfDeadlocking) {
-  // A beam group and a plain session contend for ONE pool. The group's
-  // credit reservation must wait for the session to retire, then run to
-  // completion — backpressure, not deadlock, and no corruption of the
-  // bystander's rows.
+  // A beam group and two plain requests contend for ONE pool. The plain
+  // requests hold so many blocks that the group's credit cannot be
+  // reserved, and they outrank it, so it cannot preempt them: it waits
+  // (holding nothing) until they retire, then runs to completion —
+  // backpressure, not deadlock, and no corruption of anyone's rows.
   BeamFixture bf(12, 590);
-  runtime::KvBlockPool pool;
-  // Too small for (session worst case) + (beam worst case) at once.
-  const size_t lineage = (bf.fx.cfg.seq_len + 2 - 1) / 2;
-  pool.configure(lineage + 8, 2, bf.fx.row_bytes());
-
-  runtime::GenerationOptions sess_opts;
-  sess_opts.kv_block_rows = 2;
-  sess_opts.kv_pool = &pool;
-  runtime::GenerationSession bystander(bf.fx.acfg, bf.fx.qd, nullptr,
-                                       sess_opts);
-  ASSERT_TRUE(bystander.try_reserve_rows(bf.fx.cfg.seq_len));
-
+  const size_t br = 2;
+  const size_t lineage = (bf.fx.cfg.seq_len + br - 1) / br;
   runtime::BeamSearchOptions opts;
   opts.beam_width = 3;
   opts.max_new_tokens = 4;
-  opts.kv_block_rows = 2;
-  opts.kv_pool = &pool;
-  runtime::BeamSearchDecoder dec(bf.fx.acfg, bf.fx.qd, bf.vocab, opts);
   const std::vector<uint32_t> prompt = {2, 5};
 
-  std::thread releaser([&] { bystander.end_sequence(); });
-  const auto hyps = dec.generate(prompt, bf.fx.memory);  // may park
-  releaser.join();
-  ASSERT_EQ(hyps.size(), 3u);
-  EXPECT_EQ(pool.used_blocks(), 0u);
+  runtime::BeamSearch beam(opts, bf.vocab);
+  std::vector<std::unique_ptr<runtime::TokenStream>> streams;
+  std::vector<runtime::TrafficRequest> reqs;
+  std::vector<runtime::GenerationRequest> plain;
+  reqs.push_back(bf.beam_request(beam, prompt));
+  for (uint32_t i = 0; i < 2; ++i) {
+    std::vector<uint32_t> p(10);
+    for (uint32_t t = 0; t < p.size(); ++t) p[t] = (3 * t + i) % 24;
+    streams.push_back(std::make_unique<runtime::TokenStream>(
+        runtime::DecodePolicy{}, bf.vocab, 16));
+    streams.back()->reset(p);
+    runtime::TrafficRequest req;
+    req.gen.prefix = bf.embed_rows(p);
+    req.gen.memory = &bf.fx.memory;
+    req.gen.max_new_tokens = 2;
+    plain.push_back(req.gen);
+    req.gen.next_token = streams.back()->callback();
+    req.priority = runtime::TrafficPriority::kInteractive;
+    reqs.push_back(std::move(req));
+  }
+  runtime::TrafficEngine engine(bf.fx.acfg, bf.fx.qd);
+  runtime::TrafficOptions topts;
+  topts.slots = 5;
+  topts.kv_block_rows = br;
+  topts.kv_pool_blocks = lineage + 8;  // too small for everyone at once
+  const auto results = engine.run(reqs, topts);
+  for (const auto& r : results) {
+    ASSERT_EQ(r.outcome, runtime::TrafficOutcome::kCompleted);
+  }
+  const auto& stats = engine.last_run();
+  EXPECT_GT(stats.cls(runtime::TrafficPriority::kStandard).kv_block_waits, 0u);
+  EXPECT_EQ(stats.total(&runtime::TrafficClassStats::preemptions), 0u);
+  ASSERT_EQ(beam.hypotheses().size(), 3u);
+  expect_same_hypotheses(beam.hypotheses(), bf.solo(opts, prompt, br),
+                         "shared pool engine vs solo");
+  for (uint32_t i = 0; i < 2; ++i) {
+    runtime::TokenStream solo_stream(runtime::DecodePolicy{}, bf.vocab, 16);
+    std::vector<uint32_t> p(10);
+    for (uint32_t t = 0; t < p.size(); ++t) p[t] = (3 * t + i) % 24;
+    solo_stream.reset(p);
+    plain[i].next_token = solo_stream.callback();
+    EXPECT_EQ(results[i + 1].states,
+              runtime::generate_solo(bf.fx.acfg, bf.fx.qd, plain[i]).states)
+        << "plain request " << i;
+  }
+}
 
-  // Same prompt on a private-pool decoder: identical hypotheses.
-  runtime::BeamSearchOptions solo_opts = opts;
-  solo_opts.kv_pool = nullptr;
-  runtime::BeamSearchDecoder solo(bf.fx.acfg, bf.fx.qd, bf.vocab,
-                                  solo_opts);
-  expect_same_hypotheses(hyps, solo.generate(prompt, bf.fx.memory),
-                         "shared vs private pool");
+TEST(BeamSearchCow, GroupThatCannotFitPreemptsNobody) {
+  // A standard-priority group arrives while an interactive request (which
+  // it cannot evict) and a batch request (which it could) are running.
+  // Evicting the batch request would not seat the group, so the group
+  // waits without preempting it: first short of seats, then short of
+  // credit. It runs once the interactive request retires.
+  BeamFixture bf(16, 600);
+  const size_t br = 2;
+  runtime::BeamSearchOptions opts;
+  opts.beam_width = 3;
+  opts.max_new_tokens = 4;
+  const std::vector<uint32_t> prompt = {4, 9};
+  const std::vector<uint32_t> long_prompt = {1, 2, 3, 4, 5, 6, 7, 8, 9, 10};
+  const std::vector<uint32_t> short_prompt = {11, 12};
+  const auto want = bf.solo(opts, prompt, br);
+
+  struct Case {
+    const char* what;
+    size_t slots;
+    size_t pool_blocks;
+  };
+  const size_t worst = runtime::beam_worst_case_blocks(
+      prompt.size(), opts.max_new_tokens, opts.beam_width, br);
+  // Seats: 3 seats, the batch request holds one, the interactive one
+  // another. Credit: seats to spare and a 9-block pool the group fits,
+  // but not beside the interactive request's 5 prompt blocks, whatever
+  // the batch request gives back.
+  ASSERT_LE(worst, 9u);
+  ASSERT_GT(long_prompt.size() / br + worst, 9u);
+  for (const Case c : {Case{"seats", 3, 64}, Case{"credit", 8, 9}}) {
+    SCOPED_TRACE(c.what);
+    runtime::BeamSearch beam(opts, bf.vocab);
+    std::vector<std::unique_ptr<runtime::TokenStream>> streams;
+    std::vector<runtime::TrafficRequest> reqs;
+    reqs.push_back(bf.beam_request(beam, prompt));
+    reqs[0].arrival_round = 1;
+    const auto plain = [&](const std::vector<uint32_t>& p, uint32_t max_new,
+                           runtime::TrafficPriority pri) {
+      streams.push_back(std::make_unique<runtime::TokenStream>(
+          runtime::DecodePolicy{}, bf.vocab, 16));
+      streams.back()->reset(p);
+      runtime::TrafficRequest req;
+      req.gen.prefix = bf.embed_rows(p);
+      req.gen.memory = &bf.fx.memory;
+      req.gen.max_new_tokens = max_new;
+      req.gen.next_token = streams.back()->callback();
+      req.priority = pri;
+      reqs.push_back(std::move(req));
+    };
+    plain(long_prompt, 5, runtime::TrafficPriority::kInteractive);
+    plain(short_prompt, 2, runtime::TrafficPriority::kBatch);
+
+    runtime::TrafficEngine engine(bf.fx.acfg, bf.fx.qd);
+    runtime::TrafficOptions topts;
+    topts.slots = c.slots;
+    topts.kv_block_rows = br;
+    topts.kv_pool_blocks = c.pool_blocks;
+    const auto results = engine.run(reqs, topts);
+    for (const auto& r : results) {
+      ASSERT_EQ(r.outcome, runtime::TrafficOutcome::kCompleted);
+      EXPECT_EQ(r.preemptions, 0u);
+    }
+    const auto& stats = engine.last_run();
+    EXPECT_EQ(stats.total(&runtime::TrafficClassStats::preemptions), 0u);
+    EXPECT_GE(results[0].admitted_round, results[1].retired_round);
+    expect_same_hypotheses(beam.hypotheses(), want, "waited group vs solo");
+  }
 }
 
 TEST(BeamSearchCow, WorstCaseBoundFormula) {
   using runtime::beam_worst_case_blocks;
   // prompt 10, br 4: shared lineage ceil(10/4)=3; per-beam tail spans
   // blocks [floor(10/4), ceil((10+max_new-1)/4)).
-  EXPECT_EQ(beam_worst_case_blocks(10, 7, 4, 4, true),
+  EXPECT_EQ(beam_worst_case_blocks(10, 7, 4, 4),
             3u + 4u * (4u - 2u));
   // Boundary prompt: no straddling block, tail is the pure divergence.
-  EXPECT_EQ(beam_worst_case_blocks(8, 5, 2, 4, true), 2u + 2u * 1u);
-  // Eager: two generations of full private lineages.
-  EXPECT_EQ(beam_worst_case_blocks(8, 5, 2, 4, false), 2u * 2u * 3u);
-  EXPECT_THROW(beam_worst_case_blocks(0, 1, 1, 1, true),
+  EXPECT_EQ(beam_worst_case_blocks(8, 5, 2, 4), 2u + 2u * 1u);
+  EXPECT_THROW(beam_worst_case_blocks(0, 1, 1, 1),
                std::invalid_argument);
 }
 

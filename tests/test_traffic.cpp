@@ -441,6 +441,23 @@ TEST(TrafficEngine, ImpossibleRequestIsShedNotThrown) {
   EXPECT_EQ(engine.last_run().total(&TrafficClassStats::shed_capacity), 1u);
 }
 
+TEST(TrafficEngine, BlockPeakCountsTheRunNotSessionWarmUp) {
+  // Building a seat warms its session at full capacity on the pool (6
+  // blocks here) and hands the blocks back; a lone request caching 2
+  // rows holds 1 block, and that is the run's peak.
+  TrafficFixture fx;
+  runtime::TrafficEngine engine(fx.acfg, fx.qd);
+  std::vector<runtime::TrafficRequest> reqs(1);
+  reqs[0].gen = make_gen_request(fx, 1, 1, 0.3f, -1, 41);
+  runtime::TrafficOptions opts;
+  opts.slots = 1;
+  opts.kv_block_rows = 2;
+  opts.kv_pool_blocks = 16;
+  const auto results = engine.run(reqs, opts);
+  ASSERT_EQ(results[0].outcome, TrafficOutcome::kCompleted);
+  EXPECT_EQ(engine.last_run().kv_blocks_peak, 1u);
+}
+
 TEST(TrafficEngine, ThrowingCallbackFailsRequestWithoutSheddingIt) {
   // A user-supplied next_token callback that throws is a CALLER fault:
   // the request retires kFailed (with the exception message as the
